@@ -6,7 +6,7 @@ from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
                    equilibrium_one_layer, stress_at)
 from .baseline import (BaselineSolution, baseline_mass, solve_baseline_first,
                        solve_baseline_step)
-from .compliance import (ComplianceDensity, DensityCase, compliance_total,
+from .compliance import (ComplianceDensity, compliance_total,
                          convex_envelope_1d, density_baseline,
                          density_derivative, density_precurv_first,
                          density_prestrain, f_concavity_interval, f_second,

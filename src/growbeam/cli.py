@@ -40,10 +40,17 @@ def _say(args, message: str) -> None:
 def _cmd_run(args) -> int:
     rc = _load_config(args.config)
     out_dir = rc.resolve_output_dir(args.output_dir)
-    trace = run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
-                       rc.schedule(), rc.prestrains(), tau=rc.tau,
-                       mass_mode=rc.mode(), ablation=rc.ablation,
-                       options=rc.solver_options())
+    try:
+        trace = run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
+                           rc.schedule(), rc.prestrains(), tau=rc.tau,
+                           mass_mode=rc.mode(), ablation=rc.ablation,
+                           options=rc.solver_options())
+    except ConvergenceError as err:
+        if err.partial_trace is not None:
+            paths = write_trace(err.partial_trace, out_dir)
+            _say(args, f"wrote the {err.partial_trace.steps} completed steps to "
+                       + ", ".join(paths))
+        raise
     paths = write_trace(trace, out_dir)
     if rc.plot_steps:
         heights = dict(enumerate(trace.heights_by_step()))

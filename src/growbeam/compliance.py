@@ -8,22 +8,19 @@ integral E e^2 over the section, which reduces to
 
 with (eps, kappa) the equilibrium fields for that profile.  Because the beam
 is statically determinate the integrand is a pointwise function of h, so one
-scalar density c(h) per cell suffices.  Three closed forms are available
-(no prestrain; constant axial prestrain; constant precurvature, first
-deposition); everything else goes through the general per-cell equilibrium
-solve.
+scalar density c(h) per cell suffices.  ``ComplianceDensity`` writes it as
+one quadratic form in the section's prestrain integrals; the closed forms
+for no prestrain, constant axial prestrain and a first precurved deposition
+are kept as independent references.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .beam import (BeamConfig, EquilibriumState, LayerStack, LoadCase,
                    PrestrainPair, _as_values, bending_moment,
-                   prestress_section_integrals, solve_section)
+                   prestress_section_integrals)
 from .errors import DomainError
 
 
@@ -83,163 +80,185 @@ def density_precurv_first(h, h0, moment, young_modulus, kappa_p):
     return float(out) if out.ndim == 0 else out
 
 
-class DensityCase(enum.Enum):
-    GENERAL = "general"
-    BASELINE = "baseline"
-    CONST_PRESTRAIN = "const_prestrain"
-    CONST_PRECURV_FIRST = "const_precurv_first"
+def _quadratic_form(young_modulus, a, r, h):
+    """E (4A^2/h - 12AR/h^2 + 12R^2/h^3): the density of a section of height
+    h whose prestrain integrals are A and R = B - M/E."""
+    return young_modulus * (4.0 * a * a / h - 12.0 * a * r / h**2 + 12.0 * r * r / h**3)
 
 
-@dataclass(frozen=True)
+def _masked(x, mask):
+    """The entries of x (broadcast to the mask's shape) where mask holds."""
+    return np.broadcast_to(x, mask.shape)[mask]
+
+
+def _check_height(h):
+    h = np.asarray(h, dtype=float)
+    if np.min(h) <= 0:
+        raise DomainError("height must be positive")
+    return h
+
+
 class ComplianceDensity:
     """One step's pointwise compliance density c_j(h) across all cells.
 
-    ``moment`` and ``base_height`` broadcast against candidate height arrays.
-    The GENERAL case carries the deposition history as material segments plus
-    the prestrain pair of the layer being deposited; its value at candidate h
-    re-solves the per-cell equilibrium with the new layer [h_prev, h] (or the
-    history trimmed at h when h < h_prev, i.e. ablation).
+    A section of height h balances at [eps, kappa] = K(h)^-1 [A, R], with
+    K = [[h, h^2/2], [h^2/2, h^3/3]] and the prestrain integrals
+    A = int e^p dy, R = int y e^p dy - M/E over its material column, so its
+    density E int (eps + y kappa)^2 dy is E (4A^2/h - 12AR/h^2 + 12R^2/h^3).
+    The step deposits a layer with prestrain pair (eps_p, kappa_p) on
+    ``h_prev``; from the state (A, R) at h_prev, for h >= h_prev,
+
+        A(h) = alpha + eps_p h + kappa_p h^2 / 2,
+        R(h) = beta + eps_p h^2 / 2 + kappa_p h^3 / 3,
+
+    with alpha, beta frozen per cell.  The density is then the Laurent
+    polynomial
+
+        c = E [4 alpha^2/h - 12 alpha beta/h^2 + 12 beta^2/h^3
+               + 2 (alpha eps_p + beta kappa_p) + eps_p^2 h + eps_p kappa_p h^2
+               + kappa_p^2 h^3 / 3],
+        c' = E [(eps_p + kappa_p h)^2 - 4 (alpha h - 3 beta)^2 / h^4],
+
+    whose coefficients are computed once.  Without ablation it is the
+    density at every h > 0.  With ablation ``history`` holds the material
+    segments (y_lo, y_hi, eps_p[], kappa_p[]) and cells cut below h_prev use
+    the trimmed history; ``history`` is None otherwise.  Every argument
+    broadcasts against the candidate heights.
     """
 
-    case: DensityCase
-    young_modulus: float
-    moment: np.ndarray
-    base_height: np.ndarray | None = None
-    eps_p: float = 0.0
-    kappa_p: float = 0.0
-    history: tuple | None = None   # (y_lo, y_hi, eps_p[], kappa_p[]) arrays
-    h_prev: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.case is DensityCase.BASELINE and (self.eps_p or self.kappa_p):
-            raise DomainError("baseline density has no prestrain parameters")
-        if self.case in (DensityCase.CONST_PRESTRAIN, DensityCase.CONST_PRECURV_FIRST):
-            if self.base_height is None:
-                raise DomainError("closed-form prestrain densities need the base height")
-        if self.case is DensityCase.GENERAL and (self.history is None or self.h_prev is None):
-            raise DomainError("general density needs the deposition history")
+    def __init__(self, young_modulus, moment, h_prev, a, r, eps_p=0.0, kappa_p=0.0,
+                 history=None):
+        e = np.asarray(young_modulus, dtype=float)
+        eps_p = np.asarray(eps_p, dtype=float)
+        kappa_p = np.asarray(kappa_p, dtype=float)
+        h_prev = np.asarray(h_prev, dtype=float)
+        self.young_modulus = e
+        self.moment = np.asarray(moment, dtype=float)
+        self.h_prev = h_prev
+        self.eps_p = eps_p
+        self.kappa_p = kappa_p
+        self.history = history
+        self.alpha = a - h_prev * (eps_p + 0.5 * kappa_p * h_prev)
+        self.beta = r - h_prev**2 * (0.5 * eps_p + kappa_p * h_prev / 3.0)
+        alpha, beta = self.alpha, self.beta
+        # value: c0 + u (c1 + u (c2 + u c3)) + h (p1 + h (p2 + h p3)), u = 1/h
+        self._inverse = (4.0 * e * alpha**2, -12.0 * e * alpha * beta, 12.0 * e * beta**2)
+        # derivative: (q0 + q1 h)^2 - (u (s1 + u s2))^2
+        s = 2.0 * np.sqrt(e)
+        self._slope = (s * alpha, -3.0 * s * beta)
+        self._prestrained = bool(np.any(eps_p) or np.any(kappa_p))
+        if self._prestrained:
+            self._c0 = 2.0 * e * (alpha * eps_p + beta * kappa_p)
+            self._poly = (e * eps_p**2, e * eps_p * kappa_p, e * kappa_p**2 / 3.0)
+            self._surface = (np.sqrt(e) * eps_p, np.sqrt(e) * kappa_p)
 
     @classmethod
     def baseline(cls, young_modulus, moment):
-        return cls(DensityCase.BASELINE, young_modulus, np.asarray(moment, dtype=float))
+        """No prestrain anywhere: 12 M^2 / (E h^3)."""
+        return cls(young_modulus, moment, 0.0, 0.0,
+                   -np.asarray(moment, dtype=float) / young_modulus)
 
     @classmethod
     def const_prestrain(cls, young_modulus, moment, base_height, eps_p):
-        return cls(DensityCase.CONST_PRESTRAIN, young_modulus,
-                   np.asarray(moment, dtype=float),
-                   np.asarray(base_height, dtype=float), eps_p=eps_p)
+        """First deposition of a constant axial prestrain on a bare beam."""
+        return cls(young_modulus, moment, base_height, 0.0,
+                   -np.asarray(moment, dtype=float) / young_modulus, eps_p=eps_p)
 
     @classmethod
     def const_precurv_first(cls, young_modulus, moment, base_height, kappa_p):
-        return cls(DensityCase.CONST_PRECURV_FIRST, young_modulus,
-                   np.asarray(moment, dtype=float),
-                   np.asarray(base_height, dtype=float), kappa_p=kappa_p)
+        """First deposition of a constant precurvature on a bare beam."""
+        return cls(young_modulus, moment, base_height, 0.0,
+                   -np.asarray(moment, dtype=float) / young_modulus, kappa_p=kappa_p)
 
     @classmethod
     def general(cls, config: BeamConfig, load: LoadCase, stack: LayerStack,
                 step_prestrain: PrestrainPair):
+        """Next deposition on an arbitrary history, its state replayed from
+        the stack's segments."""
         m = bending_moment(load, config, config.x_centers)
-        return cls(DensityCase.GENERAL, config.young_modulus, m,
-                   eps_p=step_prestrain.eps_p, kappa_p=step_prestrain.kappa_p,
-                   history=stack.segments(), h_prev=stack.top.values.copy())
+        segments = stack.segments()
+        a, b = prestress_section_integrals(*segments)
+        return cls(config.young_modulus, m, stack.top.values, a,
+                   b - m / config.young_modulus, step_prestrain.eps_p,
+                   step_prestrain.kappa_p, segments if stack.ablation else None)
+
+    def section_integrals(self, h):
+        """The state (A, R) of the section built up (or cut down) to h."""
+        h = np.asarray(h, dtype=float)
+        a = self.alpha + h * (self.eps_p + 0.5 * self.kappa_p * h)
+        r = self.beta + h * h * (0.5 * self.eps_p + self.kappa_p * h / 3.0)
+        below = self._ablated(h)
+        if below is not None:
+            a[below], r[below], _ = self._trimmed(h, below)
+        return a, r
 
     def value(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.case is DensityCase.BASELINE:
-            return density_baseline(h, self.moment, self.young_modulus)
-        if self.case is DensityCase.CONST_PRESTRAIN:
-            return density_prestrain(h, self.base_height, self.moment,
-                                     self.young_modulus, self.eps_p)
-        if self.case is DensityCase.CONST_PRECURV_FIRST:
-            return density_precurv_first(h, self.base_height, self.moment,
-                                         self.young_modulus, self.kappa_p)
-        return self._general_value(h)
-
-    def _prestrain_integrals(self, h):
-        """A(h) = int_0^h e^p dy and B(h) = int_0^h y e^p dy for candidate h,
-        trimming the history above h and adding the new layer [h_prev, h]."""
-        y_lo, y_hi, eps_hist, kap_hist = self.history
-        lo = np.minimum(y_lo, h)
-        hi = np.minimum(y_hi, h)
-        a, b = prestress_section_integrals(lo, hi, eps_hist, kap_hist)
-        new_lo = np.minimum(self.h_prev, h)
-        a = a + self.eps_p * (h - new_lo) + 0.5 * self.kappa_p * (h**2 - new_lo**2)
-        b = b + 0.5 * self.eps_p * (h**2 - new_lo**2) + self.kappa_p * (h**3 - new_lo**3) / 3.0
-        return a, b
-
-    def _surface_prestrain(self, h):
-        """Prestrain pair of the material lying at the surface height h.
-
-        Cells at or above h_prev see the layer being deposited; below (only
-        reachable with ablation) the owning history segment is looked up.
-        """
-        eps_top = np.full(h.shape, self.eps_p)
-        kap_top = np.full(h.shape, self.kappa_p)
-        below = h < self.h_prev
-        if np.any(below):
-            y_lo, y_hi, eps_hist, kap_hist = self.history
-            found = ~below
-            for row in range(y_lo.shape[0] - 1, -1, -1):
-                m = ~found & (h > y_lo[row]) & (h <= y_hi[row])
-                eps_top[m] = eps_hist[row]
-                kap_top[m] = kap_hist[row]
-                found |= m
-        return eps_top, kap_top
-
-    def _general_value(self, h):
-        if np.any(h <= 0):
-            raise DomainError("height must be positive")
-        a, b = self._prestrain_integrals(h)
-        eps, kap = solve_section(h, a, b, self.moment, self.young_modulus)
-        return self.young_modulus * (eps**2 * h + eps * kap * h**2 + kap**2 * h**3 / 3.0)
+        h = _check_height(h)
+        c1, c2, c3 = self._inverse
+        u = 1.0 / h
+        out = c3 * u
+        out += c2
+        out *= u
+        out += c1
+        out *= u
+        if self._prestrained:
+            p1, p2, p3 = self._poly
+            out += self._c0 + h * (p1 + h * (p2 + h * p3))
+        below = self._ablated(h)
+        if below is not None:
+            a, r, _ = self._trimmed(h, below)
+            out[below] = _quadratic_form(_masked(self.young_modulus, below),
+                                         a, r, h[below])
+        return out
 
     def derivative(self, h):
-        h = np.asarray(h, dtype=float)
-        e, m = self.young_modulus, self.moment
-        if self.case is DensityCase.BASELINE:
-            if np.any(h <= 0):
-                raise DomainError("height must be positive")
-            return -36.0 * m**2 / (e * h**4)
-        if self.case is DensityCase.CONST_PRESTRAIN:
-            if np.any(h <= 0) or np.any(self.base_height <= 0):
-                raise DomainError("heights must be positive")
-            h0, ep = self.base_height, self.eps_p
-            k = e * ep * h0**2 + 2.0 * m
-            return (-9.0 * k**2 / (e * h**4) + e * ep**2
-                    + 12.0 * ep * h0 * k / h**3 - 4.0 * e * ep**2 * h0**2 / h**2)
-        if self.case is DensityCase.CONST_PRECURV_FIRST:
-            if np.any(h <= 0) or np.any(self.base_height <= 0):
-                raise DomainError("heights must be positive")
-            h0, kp = self.base_height, self.kappa_p
-            q = e * kp * h0**3 + 3.0 * m
-            return (-4.0 * q**2 / (e * h**4) + e * kp**2 * h**2
-                    + 4.0 * h0**2 * kp * q / h**3 - e * h0**4 * kp**2 / h**2)
-        # General case: exact chain rule.  With A(h), B(h) the prestrain
-        # integrals, A' and B' reduce to the prestrain value at the surface
-        # (Leibniz rule), so (eps, kappa) and the density differentiate in
-        # closed form.  The density has a kink at h = h_prev (growing deposits
-        # new material, shrinking removes old); cells sitting exactly on
-        # h_prev get the growth-side slope, which is the relevant branch for
-        # the lower-bounded step problem.
-        h = np.broadcast_to(h, self.h_prev.shape).astype(float)
-        if np.any(h <= 0):
-            raise DomainError("height must be positive")
-        a, b = self._prestrain_integrals(h)
-        r = b - self.moment / e
-        eps_t, kap_t = self._surface_prestrain(h)
-        e_top = eps_t + h * kap_t       # prestrain value at the surface
-        ap = e_top
-        rp = h * e_top
-        u = 4.0 * a / h - 6.0 * r / h**2
-        v = 12.0 * r / h**3 - 6.0 * a / h**2
-        up = 4.0 * ap / h - 4.0 * a / h**2 - 6.0 * rp / h**2 + 12.0 * r / h**3
-        vp = 12.0 * rp / h**3 - 36.0 * r / h**4 - 6.0 * ap / h**2 + 12.0 * a / h**3
-        return e * (2.0 * u * up * h + u**2 + (up * v + u * vp) * h**2
-                    + 2.0 * u * v * h + (2.0 / 3.0) * v * vp * h**3 + v**2 * h**2)
+        h = _check_height(h)
+        s1, s2 = self._slope
+        u = 1.0 / h
+        out = s2 * u
+        out += s1
+        out *= u
+        out *= out
+        out *= -1.0
+        if self._prestrained:
+            q0, q1 = self._surface
+            e_top = q0 + q1 * h
+            out += e_top * e_top
+        below = self._ablated(h)
+        if below is not None:
+            a, r, e_top = self._trimmed(h, below)
+            hb = h[below]
+            w = a * hb - 3.0 * r
+            out[below] = (-4.0 * _masked(self.young_modulus, below)
+                          * w * (w + e_top * hb * hb) / hb**4)
+        return out
+
+    # -- ablation: cells cut below h_prev ---------------------------------
+
+    def _ablated(self, h):
+        """Mask of the cells below h_prev when they need the history, else None."""
+        if self.history is None:
+            return None
+        below = h < self.h_prev
+        return below if np.any(below) else None
+
+    def _trimmed(self, h, below):
+        """A, R and the surface prestrain e^p(h) of the cells in ``below``,
+        from the history trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h))."""
+        y_lo, y_hi, eps_hist, kap_hist = self.history
+        hb = h[below]
+        lo = np.minimum(y_lo[:, below], hb)
+        hi = np.minimum(y_hi[:, below], hb)
+        a, b = prestress_section_integrals(lo, hi, eps_hist, kap_hist)
+        r = b - _masked(self.moment, below) / _masked(self.young_modulus, below)
+        # the topmost segment (y_lo, y_hi] holding the surface owns it
+        inside = (hb > y_lo[:, below]) & (hb <= y_hi[:, below])
+        row = inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
+        return a, r, eps_hist[row] + hb * kap_hist[row]
 
 
 def density_derivative(density: ComplianceDensity, h):
-    """d/dh of the density; analytic for the closed forms, central FD otherwise."""
+    """d/dh of the density, in closed form; the same as ``density.derivative(h)``."""
     return density.derivative(h)
 
 

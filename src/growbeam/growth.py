@@ -1,5 +1,5 @@
-"""Multi-step growth orchestration: mass schedule, per-step densities,
-solver invocation, and trace recording."""
+"""Multi-step growth orchestration: mass schedule, the section state carried
+from step to step, solver invocation, and trace recording."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import (BeamConfig, HeightField, LayerStack, LoadCase,
-                   _as_values, bending_moment, equilibrium_general)
+from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
+                   LoadCase, PrestrainPair, _as_values, bending_moment,
+                   solve_section)
+from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
 from .solver import (MassMode, SolverOptions, StepProblem, kkt_residual,
@@ -74,7 +76,8 @@ class StepRecord:
 
 @dataclass
 class GrowthTrace:
-    """Full run record: per-step profiles, compliances, multipliers, residuals."""
+    """Full run record: per-step profiles, compliances, multipliers,
+    residuals, and the prestrain pair and mass target of every step."""
 
     config: BeamConfig
     load: LoadCase
@@ -85,32 +88,72 @@ class GrowthTrace:
     initial_mass: float
     initial_compliance: float
     records: list = field(default_factory=list)
-    problems: list = field(default_factory=list)
+    prestrains: list = field(default_factory=list)
+    mass_targets: list = field(default_factory=list)
 
     @property
     def steps(self) -> int:
         return len(self.records)
+
+    @property
+    def problems(self) -> list:
+        """Each recorded step's StepProblem, rebuilt by replaying the
+        recorded heights; a run keeps no per-step density."""
+        section = _Section(self.config, self.load, self.h0, self.ablation)
+        problems = []
+        for record, pre, m_i in zip(self.records, self.prestrains, self.mass_targets):
+            problems.append(section.problem(pre, m_i, self.tau, self.mass_mode))
+            section.deposit(problems[-1].density, record.h, pre)
+        return problems
 
     def heights_by_step(self):
         """Profiles indexed 0..S, step 0 being the initial height."""
         return [self.h0.values] + [r.h.values for r in self.records]
 
 
-def _pick_density(config, load, stack, pre, step_index):
-    """Closed forms where their validity conditions hold, else the general
-    per-cell equilibrium density with the full deposition history."""
-    all_pre = list(stack.prestrains) + [pre]
-    if all(p.eps_p == 0.0 and p.kappa_p == 0.0 for p in all_pre):
-        m = bending_moment(load, config, config.x_centers)
-        return ComplianceDensity.baseline(config.young_modulus, m)
-    if step_index == 1:
-        m = bending_moment(load, config, config.x_centers)
-        base = stack.heights[0].values
-        if pre.kappa_p == 0.0:
-            return ComplianceDensity.const_prestrain(config.young_modulus, m, base, pre.eps_p)
-        if pre.eps_p == 0.0:
-            return ComplianceDensity.const_precurv_first(config.young_modulus, m, base, pre.kappa_p)
-    return ComplianceDensity.general(config, load, stack, pre)
+class _Section:
+    """The deposited beam as the next step sees it: its top profile and the
+    per-cell prestrain integrals A = int e^p dy, R = int y e^p dy - M/E.
+
+    Each step adds one layer, so the state advances in O(N) per step.  Only
+    ablation, which may cut into earlier layers, also keeps the layer stack
+    whose history the density trims.
+    """
+
+    def __init__(self, config: BeamConfig, load: LoadCase, h0: HeightField,
+                 ablation: bool):
+        self.config = config
+        self.moment = bending_moment(load, config, config.x_centers)
+        self.top = h0
+        self.a = np.zeros(config.n_cells)
+        self.r = -self.moment / config.young_modulus
+        self.stack = LayerStack((h0,), (), ablation=True) if ablation else None
+        self.floor = HeightField(ABLATION_FLOOR_FRACTION * h0.values) if ablation else None
+
+    def problem(self, pre: PrestrainPair, mass_target: float, tau: float,
+                mass_mode: MassMode) -> StepProblem:
+        history = self.stack.segments() if self.stack is not None else None
+        density = ComplianceDensity(self.config.young_modulus, self.moment,
+                                    self.top.values, self.a, self.r,
+                                    pre.eps_p, pre.kappa_p, history)
+        return StepProblem(density=density, h_prev=self.top,
+                           mass_target=float(mass_target), tau=tau,
+                           mass_mode=mass_mode,
+                           lower_bound=self.top if self.floor is None else self.floor,
+                           config=self.config)
+
+    def deposit(self, density: ComplianceDensity, h: HeightField, pre: PrestrainPair):
+        self.a, self.r = density.section_integrals(h.values)
+        if self.stack is not None:
+            self.stack = LayerStack(self.stack.heights + (h,),
+                                    self.stack.prestrains + (pre,), ablation=True)
+        self.top = h
+
+    def equilibrium(self) -> EquilibriumState:
+        # R already carries the load, so the balance solve takes no moment
+        eps, kappa = solve_section(self.top.values, self.a, self.r, 0.0,
+                                   self.config.young_modulus)
+        return EquilibriumState(eps, kappa)
 
 
 def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
@@ -135,20 +178,14 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
     if not ablation and targets[0] < m0 - 1e-9 * max(1.0, m0):
         raise DomainError("first mass target below the initial mass")
 
-    stack = LayerStack((h0,), (), ablation=ablation)
-    state0 = equilibrium_general(config, load, stack)
+    section = _Section(config, load, h0, ablation)
     trace = GrowthTrace(config=config, load=load, tau=tau, mass_mode=mass_mode,
                         ablation=ablation, h0=h0, initial_mass=m0,
-                        initial_compliance=compliance_total(state0, h0, config))
-    floor = HeightField(ABLATION_FLOOR_FRACTION * h0.values) if ablation else None
+                        initial_compliance=compliance_total(section.equilibrium(),
+                                                            h0, config))
 
     for i, (m_i, pre) in enumerate(zip(targets, prestrains), start=1):
-        h_prev = stack.top
-        density = _pick_density(config, load, stack, pre, i)
-        problem = StepProblem(density=density, h_prev=h_prev, mass_target=float(m_i),
-                              tau=tau, mass_mode=mass_mode,
-                              lower_bound=floor if ablation else h_prev,
-                              config=config)
+        problem = section.problem(pre, m_i, tau, mass_mode)
         t0 = time.perf_counter()
         try:
             sol = minimize_step(problem, options)
@@ -157,16 +194,15 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
             raise
         elapsed = time.perf_counter() - t0
 
-        stack = LayerStack(stack.heights + (sol.h,), stack.prestrains + (pre,),
-                           ablation=ablation)
-        state = equilibrium_general(config, load, stack)
-        inc = sol.h.values - h_prev.values
-        trace.problems.append(problem)
+        inc = sol.h.values - section.top.values
+        section.deposit(problem.density, sol.h, pre)
+        trace.prestrains.append(pre)
+        trace.mass_targets.append(float(m_i))
         trace.records.append(StepRecord(
             index=i,
             h=sol.h,
             mass=sol.h.mass(config),
-            compliance=compliance_total(state, sol.h, config),
+            compliance=compliance_total(section.equilibrium(), sol.h, config),
             objective=sol.objective,
             lam=sol.lam,
             growth_fraction=float(np.mean(inc > options.tol_active)),

@@ -26,10 +26,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)

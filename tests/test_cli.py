@@ -59,6 +59,22 @@ class TestRun:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
 
+    def test_nonconvergence_keeps_completed_steps(self, cfg_file, tmp_path, capsys):
+        # step 1 adds no mass and is solved without iterating; step 2 runs
+        # out of iterations
+        out = tmp_path / "out"
+        code = main(["run", cfg_file("load.kind = uniform\nload.value = 0.02\n"
+                                     "n_cells = 60\nsteps = 2\n"
+                                     "mass.targets = 6.0, 6.6\n"
+                                     "solver.max_iter = 2\n"),
+                     "--output-dir", str(out)])
+        assert code == 3
+        assert "did not reach" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert [s["step"] for s in summary["steps"]] == [1]
+        rows = (out / "profile.csv").read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 1]
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.cfg")])
         assert code == 4

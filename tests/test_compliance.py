@@ -176,6 +176,61 @@ class TestCaseReductionLattice:
             rtol=1e-10)
 
 
+class TestClosedFormOracles:
+    """Each constructor of the one quadratic-form density against the
+    independent closed forms, value and derivative."""
+
+    N = 10_000
+
+    @pytest.fixture
+    def samples(self):
+        rng = np.random.default_rng(11)
+        n = self.N
+        h0 = rng.uniform(0.1, 0.8, size=n)
+        return dict(
+            h0=h0, h=h0 * rng.uniform(1.0, 4.0, size=n),
+            m=rng.choice([-1.0, 1.0], size=n) * rng.uniform(5.0, 40.0, size=n),
+            e=rng.uniform(1e4, 1e6, size=n),
+            ep=rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.002, 0.05, size=n),
+            kp=rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.01, 0.3, size=n))
+
+    @staticmethod
+    def assert_rel(got, want, tol=1e-10):
+        assert float(np.max(np.abs(got - want) / np.abs(want))) <= tol
+
+    def test_baseline(self, samples):
+        h, m, e = samples["h"], samples["m"], samples["e"]
+        d = ComplianceDensity.baseline(e, m)
+        self.assert_rel(d.value(h), gb.density_baseline(h, m, e))
+        self.assert_rel(d.derivative(h), -36.0 * m**2 / (e * h**4))
+
+    def test_const_prestrain(self, samples):
+        h, h0, m, e, ep = (samples[k] for k in ("h", "h0", "m", "e", "ep"))
+        d = ComplianceDensity.const_prestrain(e, m, h0, ep)
+        k = e * ep * h0**2 + 2.0 * m
+        slope = (-9.0 * k**2 / (e * h**4) + e * ep**2
+                 + 12.0 * ep * h0 * k / h**3 - 4.0 * e * ep**2 * h0**2 / h**2)
+        self.assert_rel(d.value(h), gb.density_prestrain(h, h0, m, e, ep))
+        self.assert_rel(d.derivative(h), slope)
+
+    def test_const_precurv_first(self, samples):
+        h, h0, m, e, kp = (samples[k] for k in ("h", "h0", "m", "e", "kp"))
+        d = ComplianceDensity.const_precurv_first(e, m, h0, kp)
+        q = e * kp * h0**3 + 3.0 * m
+        slope = (-4.0 * q**2 / (e * h**4) + e * kp**2 * h**2
+                 + 4.0 * h0**2 * kp * q / h**3 - e * h0**4 * kp**2 / h**2)
+        self.assert_rel(d.value(h), gb.density_precurv_first(h, h0, m, e, kp))
+        self.assert_rel(d.derivative(h), slope)
+
+    def test_history_only_under_ablation(self, rng, uniform_load):
+        config = gb.BeamConfig(20.0, 1.0e5, 8)
+        stack = random_stack(rng, config, 2)
+        pre = gb.PrestrainPair(0.01, 0.0)
+        assert ComplianceDensity.general(config, uniform_load, stack, pre).history is None
+        cut = gb.LayerStack(stack.heights, stack.prestrains, ablation=True)
+        assert ComplianceDensity.general(config, uniform_load, cut, pre).history is not None
+
+
 class TestDensityDerivative:
     def test_baseline_reference(self):
         d = ComplianceDensity.baseline(1.0e5, 20.0)

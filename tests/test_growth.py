@@ -6,7 +6,8 @@ import pytest
 
 import growbeam as gb
 from growbeam.errors import ConvergenceError, DomainError
-from growbeam.growth import ABLATION_FLOOR_FRACTION
+from growbeam.beam import prestress_section_integrals
+from growbeam.growth import ABLATION_FLOOR_FRACTION, _Section
 
 
 class TestMassSchedule:
@@ -200,26 +201,53 @@ class TestFailurePaths:
                           gb.MassSchedule.affine(0.6), [])
 
 
-class TestDensitySelection:
-    def test_general_used_from_second_step(self, paper_config, moment_load):
-        from growbeam.compliance import DensityCase
+class TestSectionState:
+    def test_incremental_state_matches_replay(self, rng, uniform_load):
+        # ten prestrained deposits carried as (A, R) against the full
+        # history replay through the layer stack
+        config = gb.BeamConfig(20.0, 1.0e5, 64)
+        h = gb.HeightField(rng.uniform(0.1, 0.5, size=64))
+        section = _Section(config, uniform_load, h, ablation=False)
+        stack = gb.LayerStack((h,), ())
+        for _ in range(10):
+            pre = gb.PrestrainPair(float(rng.uniform(-0.05, 0.05)),
+                                   float(rng.uniform(-0.2, 0.2)))
+            problem = section.problem(pre, 0.0, math.inf, gb.MassMode.INEQUALITY)
+            h = gb.HeightField(h.values + rng.uniform(0.0, 0.3, size=64))
+            section.deposit(problem.density, h, pre)
+            stack = gb.LayerStack(stack.heights + (h,), stack.prestrains + (pre,))
+        a, b = prestress_section_integrals(*stack.segments())
+        r = b - section.moment / config.young_modulus
+        np.testing.assert_allclose(section.a, a, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(a))))
+        np.testing.assert_allclose(section.r, r, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(r))))
+
+    def test_no_history_off_ablation(self, paper_config, moment_load):
         tr = gb.run_growth(paper_config, moment_load, 0.3,
                            gb.MassSchedule.affine(0.3),
-                           [gb.PrestrainPair(0.0, 0.05)] * 3, tau=math.inf)
-        cases = [p.density.case for p in tr.problems]
-        assert cases[0] is DensityCase.CONST_PRECURV_FIRST
-        assert all(c is DensityCase.GENERAL for c in cases[1:])
+                           [gb.PrestrainPair(0.01, 0.05)] * 3, tau=0.01)
+        assert all(p.density.history is None for p in tr.problems)
 
-    def test_baseline_when_no_prestrain(self, paper_config, uniform_load):
-        from growbeam.compliance import DensityCase
+    def test_problems_rebuilt_from_the_trace(self, paper_config, uniform_load):
+        pres = [gb.PrestrainPair(0.01, 0.0), gb.PrestrainPair(0.0, 0.05),
+                gb.PrestrainPair(-0.01, 0.02)]
         tr = gb.run_growth(paper_config, uniform_load, 0.3,
-                           gb.MassSchedule.affine(0.6), [gb.PrestrainPair()] * 3,
-                           tau=math.inf)
-        assert all(p.density.case is DensityCase.BASELINE for p in tr.problems)
+                           gb.MassSchedule.affine(0.4), pres, tau=0.01)
+        problems = tr.problems
+        assert [p.mass_target for p in problems] == pytest.approx([6.4, 6.8, 7.2])
+        for record, problem in zip(tr.records, problems):
+            assert gb.kkt_residual(problem, record.h, record.lam) == record.kkt_residual
 
-    def test_mixed_prestrain_first_step_general(self, paper_config, moment_load):
-        from growbeam.compliance import DensityCase
-        tr = gb.run_growth(paper_config, moment_load, 0.3,
-                           gb.MassSchedule.affine(0.3),
-                           [gb.PrestrainPair(0.01, 0.05)], tau=0.01)
-        assert tr.problems[0].density.case is DensityCase.GENERAL
+    def test_ablation_optimizes_the_recorded_compliance(self, paper_config, uniform_load):
+        # the step objective minus its proximal term is the compliance the
+        # trace records, from the first step on
+        tau = 0.1
+        tr = gb.run_growth(paper_config, uniform_load, 0.3,
+                           gb.MassSchedule.affine(0.0),
+                           [gb.PrestrainPair(0.01, 0.0)] * 2, tau=tau,
+                           ablation=True)
+        for record, problem in zip(tr.records, tr.problems):
+            prox = (paper_config.delta * 0.5 / tau
+                    * float(np.sum((record.h.values - problem.h_prev.values) ** 2)))
+            assert record.objective - prox == pytest.approx(record.compliance, rel=1e-12)

@@ -63,6 +63,14 @@ class TestWriteTrace:
                               "kkt_residual", "growth_fraction", "max_increment"}
         assert first["mass"] == run_trace.records[0].mass  # lossless float
 
+    def test_file_mode_follows_umask(self, small_trace, tmp_path):
+        old = os.umask(0o022)
+        try:
+            paths = write_trace(small_trace, str(tmp_path))
+        finally:
+            os.umask(old)
+        assert all(os.stat(p).st_mode & 0o777 == 0o644 for p in paths)
+
     def test_returns_paths(self, small_trace, tmp_path):
         paths = write_trace(small_trace, str(tmp_path))
         assert all(os.path.exists(p) for p in paths)

@@ -1,0 +1,45 @@
+"""The benchmark's layer tracing (bench/spans.py) must find every name it
+patches; a rename in the package would otherwise break ``--trace 1``."""
+
+import importlib.util
+import math
+import pathlib
+import sys
+
+import pytest
+
+import growbeam as gb
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look the module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("ablation", [False, True])
+def test_every_patch_site_resolves(spans, ablation):
+    config = gb.BeamConfig(20.0, 1.0e5, 40)
+    load = gb.LoadCase(gb.LoadKind.UNIFORM, 0.02)
+    recorder = spans.Recorder()
+    with spans.Patched(recorder) as patched:
+        gb.run_growth(config, load, 0.3, gb.MassSchedule.affine(0.0 if ablation else 0.4),
+                      [gb.PrestrainPair(0.01, 0.02)] * 2, tau=0.1, ablation=ablation)
+    assert set(patched.missing) <= spans.OPTIONAL
+    metrics = spans.layer_metrics(recorder.spans, patched.missing)
+    assert metrics["compliance.density_value_calls"] > 0
+    assert metrics["compliance.density_derivative_calls"] > 0
+    if ablation:
+        assert metrics["compliance.history_cells_per_eval"] > 0
+    else:
+        assert metrics["beam.segments_calls"] == 0
+        assert metrics["compliance.history_cells_per_eval"] == 0
+    assert not math.isnan(metrics["growth.step_late_over_early"])
