@@ -24,7 +24,7 @@ from .config import parse_config
 from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
 from .growth import GrowthTrace, StepRecord, run_growth
 from .output import (read_profile, render_curve_svg, render_profile_svg,
-                     write_trace, _fmt, _write_atomic)
+                     write_csv, write_trace, _write_atomic)
 
 
 def _load_config(path: str):
@@ -113,7 +113,7 @@ def _cmd_analytic(args) -> int:
     paths = write_trace(trace, out_dir)
     analytic_path = os.path.join(out_dir, "analytic.json")
     _write_atomic(analytic_path,
-                  json.dumps({"steps": analytic_rows}, indent=2, sort_keys=True) + "\n")
+                  [json.dumps({"steps": analytic_rows}, indent=2, sort_keys=True) + "\n"])
     _say(args, "wrote " + ", ".join(paths + [analytic_path]))
     return 0
 
@@ -138,11 +138,8 @@ def _cmd_convexity(args) -> int:
         fv = f_value(eta, hbar)
         fs = f_second(eta, hbar)
         _, env = convex_envelope_1d(hbar, fv)
-        rows = ["hbar,f,f_second,f_envelope"]
-        rows += [f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(c)}"
-                 for x, a, b, c in zip(hbar, fv, fs, env)]
         path = os.path.join(out_dir, "f_table.csv")
-        _write_atomic(path, "\n".join(rows) + "\n")
+        write_csv(path, "hbar,f,f_second,f_envelope", [hbar, fv, fs, env])
         paths.append(path)
         paths.append(render_curve_svg(hbar, {"f": fv, "f**": env},
                                       os.path.join(out_dir, "f_plot.svg"),
@@ -152,10 +149,8 @@ def _cmd_convexity(args) -> int:
         mu = m / (e * h0**3 * kap)
         gv = g_value(mu, hbar)
         gs = g_second(mu, hbar)
-        rows = ["hbar,g,g_second"]
-        rows += [f"{_fmt(x)},{_fmt(a)},{_fmt(b)}" for x, a, b in zip(hbar, gv, gs)]
         path = os.path.join(out_dir, "g_table.csv")
-        _write_atomic(path, "\n".join(rows) + "\n")
+        write_csv(path, "hbar,g,g_second", [hbar, gv, gs])
         paths.append(path)
         paths.append(render_curve_svg(hbar, {"g": gv},
                                       os.path.join(out_dir, "g_plot.svg"),

@@ -214,12 +214,12 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
     return trace
 
 
-def stationarity_report(trace: GrowthTrace, problems, tol: float = 1e-8) -> np.ndarray:
+def stationarity_report(trace: GrowthTrace, tol: float = 1e-8) -> np.ndarray:
     """Recompute the per-step stationarity residuals from the recorded
     profiles and multipliers; steps exceeding ``tol`` are logged."""
     residuals = np.array([
         kkt_residual(problem, record.h, record.lam)
-        for record, problem in zip(trace.records, problems)
+        for record, problem in zip(trace.records, trace.problems)
     ])
     for idx in np.nonzero(residuals > tol)[0]:
         log.warning("step %d stationarity residual %.3e exceeds %.1e",

@@ -4,6 +4,9 @@ Numeric text uses 17 significant digits so binary64 values survive a
 round-trip exactly; identical traces produce byte-identical files.  Files
 are written to a temporary name in the target directory and renamed into
 place.
+
+Numbers are formatted a whole array at a time: one ``%`` call over a row
+template per table, profile step or polyline, never one call per value.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
+from itertools import chain
 
 import numpy as np
 
@@ -20,10 +25,20 @@ from .growth import GrowthTrace
 
 PROFILE_CSV = "profile.csv"
 SUMMARY_JSON = "summary.json"
+_PROFILE_HEADER = "step,x_center,height"
+_PROFILE_ROW = np.dtype([("step", np.int64), ("x", float), ("height", float)])
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _format_rows(columns, spec: str) -> list:
+    """One string per row of the equal-length ``columns``: each value written
+    with the %-style ``spec`` (``"%.17g"``, ``"%.6g"``), joined by commas.
+
+    All values go through a single ``%`` call, which gives the same text as
+    ``format(v, spec[1:])`` value by value.
+    """
+    table = np.column_stack(columns).astype(float, copy=False)
+    row = ",".join([spec] * table.shape[1]) + "\n"
+    return (row * table.shape[0] % tuple(table.ravel().tolist())).splitlines()
 
 
 def _umask() -> int:
@@ -32,14 +47,15 @@ def _umask() -> int:
     return mask
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` (an iterable) to ``path`` atomically."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -47,16 +63,27 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def write_csv(path: str, header: str, columns) -> None:
+    """Write equal-length float ``columns`` under ``header``, 17 significant
+    digits per value."""
+    _write_atomic(path, ["\n".join([header, *_format_rows(columns, "%.17g")]) + "\n"])
+
+
 def write_trace(trace: GrowthTrace, directory: str):
     """Emit profile.csv and summary.json; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
-    xc = trace.config.x_centers
+    # the x-centres are formatted once; each step fills its heights into a
+    # row template "{step},{x},%.17g" and is written as one string
+    cells = [f",{x},%.17g\n" for x in _format_rows([trace.config.x_centers], "%.17g")]
 
-    rows = ["step,x_center,height"]
-    for step, values in enumerate(trace.heights_by_step()):
-        rows.extend(f"{step},{_fmt(x)},{_fmt(h)}" for x, h in zip(xc, values))
+    def profile_text():
+        yield _PROFILE_HEADER + "\n"
+        for step, values in enumerate(trace.heights_by_step()):
+            prefix = str(step)
+            yield (prefix + prefix.join(cells)) % tuple(values.tolist())
+
     profile_path = os.path.join(directory, PROFILE_CSV)
-    _write_atomic(profile_path, "\n".join(rows) + "\n")
+    _write_atomic(profile_path, profile_text())
 
     summary = {
         "initial": {
@@ -77,32 +104,50 @@ def write_trace(trace: GrowthTrace, directory: str):
         ],
     }
     summary_path = os.path.join(directory, SUMMARY_JSON)
-    _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(summary_path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return [profile_path, summary_path]
+
+
+def _malformed_profile(path: str, exc: ValueError) -> DomainError:
+    """The error for a profile body that np.loadtxt refused, naming the first
+    non-blank line that is not ``int,float,float``."""
+    with open(path, "r", newline="") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            try:
+                s, x, h = line.strip().split(",")
+                int(s), float(x), float(h)
+            except ValueError:
+                return DomainError(f"{path}:{lineno}: malformed row {line!r}")
+    return DomainError(f"{path}: malformed profile ({exc})")
 
 
 def read_profile(directory: str):
     """Read profile.csv back: (x_centers, {step: heights})."""
     path = os.path.join(directory, PROFILE_CSV)
-    steps = {}
-    xs = {}
     with open(path, "r", newline="") as handle:
         header = handle.readline().strip()
-        if header != "step,x_center,height":
-            raise DomainError(f"unexpected profile header: {header!r}")
-        for lineno, line in enumerate(handle, start=2):
-            try:
-                s, x, h = line.strip().split(",")
-                step, xv, hv = int(s), float(x), float(h)
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: malformed row {line!r}") from None
-            steps.setdefault(step, []).append(hv)
-            xs.setdefault(step, []).append(xv)
-    if not steps:
+    if header != _PROFILE_HEADER:
+        raise DomainError(f"unexpected profile header: {header!r}")
+    try:
+        with warnings.catch_warnings():
+            # an empty body is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            # numpy reads a path in large chunks in C; an open file object
+            # would be read line by line through Python, twice as slowly
+            rows = np.loadtxt(path, dtype=_PROFILE_ROW, delimiter=",", ndmin=1,
+                              comments=None, skiprows=1)
+    except ValueError as exc:
+        raise _malformed_profile(path, exc) from None
+    if rows.size == 0:
         raise DomainError(f"{path}: no profile rows")
-    first = min(steps)
-    x_centers = np.asarray(xs[first])
-    return x_centers, {k: np.asarray(v) for k, v in sorted(steps.items())}
+    order = np.argsort(rows["step"], kind="stable")
+    step = rows["step"][order]
+    starts = np.flatnonzero(np.diff(step)) + 1
+    heights = np.split(rows["height"][order], starts)
+    x_centers = rows["x"][order[:len(heights[0])]]
+    return x_centers, dict(zip(step[np.r_[0, starts]].tolist(), heights))
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +162,39 @@ def _coord(v):
     return format(float(v), ".6g")
 
 
-class _Frame:
-    """Maps data coordinates into the SVG plot box and draws axes."""
+def _coords(values) -> list:
+    """``_coord`` of every value of an array."""
+    return _format_rows([values], "%.6g")
 
-    def __init__(self, root, x_min, x_max, y_min, y_max, xlabel, ylabel):
+
+class _Frame:
+    """Maps data coordinates into the SVG plot box and draws axes.
+
+    ``px`` and ``py`` take scalars or whole arrays; the arithmetic is the
+    same either way, so a coordinate maps to the same pixel float."""
+
+    def __init__(self, x_min, x_max, y_min, y_max):
         if y_max <= y_min:
             y_max = y_min + 1.0
         pad = 0.05 * (y_max - y_min)
         self.x0, self.x1 = x_min, x_max
         self.y0, self.y1 = y_min - pad, y_max + pad
-        self.root = root
+
+    def px(self, x):
+        return _ML + (x - self.x0) / (self.x1 - self.x0) * (_W - _ML - _MR)
+
+    def py(self, y):
+        return _H - _MB - (y - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
+
+    def points(self, xs, ys) -> str:
+        """SVG points string of the polyline through (xs[k], ys[k])."""
+        return " ".join(_format_rows([self.px(xs), self.py(ys)], "%.6g"))
+
+    def svg(self, xlabel, ylabel):
+        """A new SVG root holding the background, plot box, ticks and labels."""
+        root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
+                          width=str(_W), height=str(_H),
+                          viewBox=f"0 0 {_W} {_H}")
         ET.SubElement(root, "rect", x="0", y="0", width=str(_W), height=str(_H),
                       fill="white")
         ET.SubElement(root, "rect", x=str(_ML), y=str(_MT),
@@ -163,48 +231,26 @@ class _Frame:
         yl.set("transform",
                f"rotate(-90 14 {_coord((_MT + _H - _MB) / 2)})")
         yl.text = ylabel
-
-    def px(self, x):
-        return _ML + (x - self.x0) / (self.x1 - self.x0) * (_W - _ML - _MR)
-
-    def py(self, y):
-        return _H - _MB - (y - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
-
-    def polyline(self, xs, ys, color, width="1.5", dash=None):
-        pts = " ".join(f"{_coord(self.px(x))},{_coord(self.py(y))}"
-                       for x, y in zip(xs, ys))
-        el = ET.SubElement(self.root, "polyline", points=pts, fill="none",
-                           stroke=color)
-        el.set("stroke-width", width)
-        if dash:
-            el.set("stroke-dasharray", dash)
-
-    def fill_under(self, xs, ys, color):
-        pts = [f"{_coord(self.px(xs[0]))},{_coord(self.py(0.0))}"]
-        pts += [f"{_coord(self.px(x))},{_coord(self.py(y))}" for x, y in zip(xs, ys)]
-        pts.append(f"{_coord(self.px(xs[-1]))},{_coord(self.py(0.0))}")
-        ET.SubElement(self.root, "polygon", points=" ".join(pts), fill=color,
-                      stroke="none")
+        return root
 
 
-def _staircase(x_centers, heights, length):
-    """Piecewise-constant profile as node-based staircase coordinates."""
-    n = len(heights)
-    delta = length / n
-    xs = np.repeat(np.arange(n + 1) * delta, 2)[1:-1]
-    ys = np.repeat(heights, 2)
-    return xs, ys
+def _polyline(root, points, color, width="1.5", dash=None):
+    el = ET.SubElement(root, "polyline", points=points, fill="none", stroke=color)
+    el.set("stroke-width", width)
+    if dash:
+        el.set("stroke-dasharray", dash)
 
 
-def _svg_root():
-    root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
-                      width=str(_W), height=str(_H),
-                      viewBox=f"0 0 {_W} {_H}")
-    return root
+def _staircase_points(node_coords, height_coords) -> str:
+    """Points of a piecewise-constant profile from the coordinate strings of
+    its N+1 cell nodes and N heights: (x_j, h_j) then (x_{j+1}, h_j) per cell."""
+    left = map(",".join, zip(node_coords, height_coords))
+    right = map(",".join, zip(node_coords[1:], height_coords))
+    return " ".join(chain.from_iterable(zip(left, right)))
 
 
 def _write_svg(root, path):
-    _write_atomic(path, ET.tostring(root, encoding="unicode") + "\n")
+    _write_atomic(path, [ET.tostring(root, encoding="unicode") + "\n"])
 
 
 def render_profile_svg(x_centers, heights_by_step, step_indices, directory,
@@ -216,20 +262,29 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory,
     for idx in step_indices:
         if idx not in heights_by_step:
             raise DomainError(f"step {idx} not in trace (has {available})")
+    if not step_indices:
+        return []
+    overall_max = max(float(np.max(heights_by_step[i])) for i in step_indices)
+    frame = _Frame(0.0, length, 0.0, overall_max)
+    n = len(x_centers)
+    nodes = _coords(frame.px(np.arange(n + 1) * (length / n)))
+    # every step up to the last requested one is drawn, as a fill or an
+    # overlay; each staircase is formatted once and reused by later SVGs
+    last = max(step_indices)
+    stairs = {step: _staircase_points(nodes, _coords(frame.py(heights_by_step[step])))
+              for step in available if step <= last}
+    base = _coord(frame.py(0.0))
     paths = []
-    overall_max = max((float(np.max(heights_by_step[i])) for i in step_indices),
-                      default=1.0)
     for idx in step_indices:
-        root = _svg_root()
-        frame = _Frame(root, 0.0, length, 0.0, overall_max, "x [dm]", "height [dm]")
-        xs, ys = _staircase(x_centers, heights_by_step[idx], length)
-        frame.fill_under(xs, ys, "#9ecae1")
+        root = frame.svg("x [dm]", "height [dm]")
+        ET.SubElement(root, "polygon",
+                      points=f"{nodes[0]},{base} {stairs[idx]} {nodes[-1]},{base}",
+                      fill="#9ecae1", stroke="none")
         for prev in available:
             if prev >= idx:
                 break
-            pxs, pys = _staircase(x_centers, heights_by_step[prev], length)
-            frame.polyline(pxs, pys, "#555555", width="1", dash="4 3")
-        frame.polyline(xs, ys, "#08519c")
+            _polyline(root, stairs[prev], "#555555", width="1", dash="4 3")
+        _polyline(root, stairs[idx], "#08519c")
         title = ET.SubElement(root, "text", x=str(_ML + 8), y=str(_MT + 16),
                               fill="black")
         title.set("font-size", "12")
@@ -247,11 +302,12 @@ def render_curve_svg(xs, curves, path, xlabel, ylabel):
     xs = np.asarray(xs, dtype=float)
     y_min = min(float(np.min(ys)) for ys in curves.values())
     y_max = max(float(np.max(ys)) for ys in curves.values())
-    root = _svg_root()
-    frame = _Frame(root, float(xs[0]), float(xs[-1]), y_min, y_max, xlabel, ylabel)
+    frame = _Frame(float(xs[0]), float(xs[-1]), y_min, y_max)
+    root = frame.svg(xlabel, ylabel)
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
     for k, (name, ys) in enumerate(curves.items()):
-        frame.polyline(xs, np.asarray(ys, dtype=float), palette[k % len(palette)])
+        _polyline(root, frame.points(xs, np.asarray(ys, dtype=float)),
+                  palette[k % len(palette)])
         label = ET.SubElement(root, "text", x=str(_ML + 8),
                               y=str(_MT + 16 + 14 * k),
                               fill=palette[k % len(palette)])

@@ -80,14 +80,14 @@ class TestBaselineRun:
 
     def test_stationarity_report(self, trace):
         _, _, tr = trace
-        residuals = gb.stationarity_report(tr, tr.problems)
+        residuals = gb.stationarity_report(tr)
         assert residuals.shape == (10,)
         assert np.max(residuals) <= 1e-8
 
     def test_stationarity_report_flags(self, trace, caplog):
         _, _, tr = trace
         with caplog.at_level(logging.WARNING, logger="growbeam.growth"):
-            gb.stationarity_report(tr, tr.problems, tol=1e-20)
+            gb.stationarity_report(tr, tol=1e-20)
         assert any("exceeds" in rec.message for rec in caplog.records)
 
 
@@ -100,7 +100,7 @@ class TestResidualScaling:
             tr = gb.run_growth(config, load, 0.3, gb.MassSchedule.affine(0.6),
                                [gb.PrestrainPair()] * 3, tau=math.inf,
                                options=gb.SolverOptions(tol_kkt=tol))
-            res = gb.stationarity_report(tr, tr.problems, tol=tol)
+            res = gb.stationarity_report(tr, tol=tol)
             assert np.max(res) <= tol
             maxres.append(np.max(res))
         assert maxres[2] <= maxres[0]
@@ -125,7 +125,7 @@ class TestConstantMomentRuns:
             np.testing.assert_array_equal(record.h.values, 0.3)
             assert record.degenerate
         # empty growth sets give zero residuals by convention
-        np.testing.assert_array_equal(gb.stationarity_report(tr, tr.problems), 0.0)
+        np.testing.assert_array_equal(gb.stationarity_report(tr), 0.0)
 
     def test_inequality_never_absorbs_harmful_material(self, paper_config, moment_load):
         tr = gb.run_growth(paper_config, moment_load, 0.3,

@@ -8,7 +8,65 @@ import pytest
 
 import growbeam as gb
 from growbeam.errors import DomainError
-from growbeam.output import read_profile, render_profile_svg, write_trace
+from growbeam.output import (_Frame, read_profile, render_profile_svg,
+                             write_csv, write_trace)
+
+# binary64 values whose 17-digit text is easy to get wrong: the smallest
+# subnormal, a tiny normal, repeating and inexact decimals, a large integer
+SPECIAL_VALUES = (5e-324, 1e-300, 1 / 3, 0.1, 1e16)
+
+
+def _text17(v):
+    return format(float(v), ".17g")
+
+
+def _text6(v):
+    return format(float(v), ".6g")
+
+
+# The per-point pixel mapping of a 640x400 SVG whose plot box has margins
+# left 60, right 20, top 20, bottom 45.
+def _scalar_px(frame, x):
+    return 60 + (x - frame.x0) / (frame.x1 - frame.x0) * 560
+
+
+def _scalar_py(frame, y):
+    return 355 - (y - frame.y0) / (frame.y1 - frame.y0) * 335
+
+
+def _profile_oracle(x_centers, heights_by_step):
+    """profile.csv as a per-value formatter writes it."""
+    rows = ["step,x_center,height"]
+    for step, values in enumerate(heights_by_step):
+        rows += [f"{step},{_text17(x)},{_text17(h)}" for x, h in zip(x_centers, values)]
+    return "\n".join(rows) + "\n"
+
+
+def _trace_of(config, heights_by_step):
+    """A GrowthTrace whose profiles are exactly ``heights_by_step``."""
+    trace = gb.GrowthTrace(config=config, load=gb.LoadCase(gb.LoadKind.UNIFORM, 0.02),
+                           tau=math.inf, mass_mode=gb.MassMode.EQUALITY,
+                           ablation=False, h0=gb.HeightField(heights_by_step[0]),
+                           initial_mass=0.0, initial_compliance=0.0)
+    for i, h in enumerate(heights_by_step[1:], start=1):
+        trace.records.append(gb.StepRecord(
+            index=i, h=gb.HeightField(h), mass=0.0, compliance=0.0, objective=0.0,
+            lam=0.0, growth_fraction=0.0, max_increment=0.0, kkt_residual=0.0,
+            wall_time=0.0))
+    return trace
+
+
+def _special_heights(n_cells, seed):
+    """Random positive profiles led by the special values, rotated one place
+    per step so that even a one-cell grid writes each of them."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for k in range(len(SPECIAL_VALUES)):
+        values = rng.uniform(1e-3, 5.0, size=n_cells)
+        lead = np.roll(SPECIAL_VALUES, k)[:n_cells]
+        values[:len(lead)] = lead
+        steps.append(values)
+    return steps
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +133,37 @@ class TestWriteTrace:
         paths = write_trace(small_trace, str(tmp_path))
         assert all(os.path.exists(p) for p in paths)
 
+    @pytest.mark.parametrize("n_cells, length", [(1, 20.0), (7, 7.3), (601, 1 / 3)])
+    def test_profile_matches_per_value_formatter(self, n_cells, length, tmp_path):
+        config = gb.BeamConfig(length, 1.0e5, n_cells)
+        heights = _special_heights(n_cells, seed=n_cells)
+        write_trace(_trace_of(config, heights), str(tmp_path))
+        expected = _profile_oracle(config.x_centers, heights)
+        assert (tmp_path / "profile.csv").read_bytes() == expected.encode()
+
+    def test_special_values_round_trip_exact(self, tmp_path):
+        config = gb.BeamConfig(1 / 3, 1.0e5, 7)
+        heights = _special_heights(7, seed=1)
+        write_trace(_trace_of(config, heights), str(tmp_path))
+        x_read, steps = read_profile(str(tmp_path))
+        assert x_read.tobytes() == config.x_centers.tobytes()
+        assert list(steps) == list(range(len(heights)))
+        for k, values in enumerate(heights):
+            assert steps[k].tobytes() == values.tobytes()
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatter(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [np.linspace(1.0, 6.0, 10), rng.normal(size=10),
+                   np.array([*SPECIAL_VALUES, *(-v for v in SPECIAL_VALUES)]),
+                   np.array([-0.0, 0.0, np.inf, -np.inf, 1e308, 1.5e-323,
+                             123456789.0, 1e-5, 1e17, 0.5])]
+        path = tmp_path / "table.csv"
+        write_csv(str(path), "a,b,c,d", columns)
+        rows = ["a,b,c,d"] + [",".join(map(_text17, row)) for row in zip(*columns)]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
 
 class TestRenderSvg:
     def test_empty_step_list(self, run_trace, tmp_path):
@@ -104,6 +193,47 @@ class TestRenderSvg:
             render_profile_svg(run_trace.config.x_centers, heights, [99],
                                str(tmp_path), 20.0)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 20.0, 0.0, 1.7), (1.0, 6.0, -3.2, 0.4),
+                                        (0.0, 1e-3, 5.0, 5.0)])
+    def test_frame_points_match_scalar_mapping(self, bounds):
+        rng = np.random.default_rng(7)
+        frame = _Frame(*bounds)
+        # the extremes reach the exponent forms of "%.6g"
+        extremes = [0.0, -0.0, 5e-324, 1e-300, 1e9, -1e9, 1 / 3]
+        xs = np.concatenate([rng.uniform(bounds[0], bounds[1], 200), extremes])
+        ys = np.concatenate([rng.uniform(bounds[2], bounds[3] + 1.0, 200), extremes[::-1]])
+        px = [_scalar_px(frame, x) for x in xs.tolist()]
+        py = [_scalar_py(frame, y) for y in ys.tolist()]
+        assert frame.px(xs).tolist() == px
+        assert frame.py(ys).tolist() == py
+        expected = " ".join(f"{_text6(x)},{_text6(y)}" for x, y in zip(px, py))
+        assert frame.points(xs, ys) == expected
+
+    def test_profile_svg_matches_scalar_staircase(self, run_trace, tmp_path):
+        heights = dict(enumerate(run_trace.heights_by_step()))
+        length, idx = 20.0, 4
+        (path,) = render_profile_svg(run_trace.config.x_centers, heights, [idx],
+                                     str(tmp_path), length)
+        frame = _Frame(0.0, length, 0.0, float(np.max(heights[idx])))
+        n = run_trace.config.n_cells
+        nodes = np.arange(n + 1) * (length / n)
+
+        def staircase(h):
+            xs = np.repeat(nodes, 2)[1:-1].tolist()
+            return " ".join(f"{_text6(_scalar_px(frame, x))},{_text6(_scalar_py(frame, y))}"
+                            for x, y in zip(xs, np.repeat(h, 2).tolist()))
+
+        svg = "{http://www.w3.org/2000/svg}"
+        root = ET.parse(path).getroot()
+        # overlays of steps 0..idx-1, then the step's own outline
+        lines = [el.get("points") for el in root.iter(svg + "polyline")]
+        assert lines == [staircase(heights[k]) for k in range(idx + 1)]
+        base = _text6(_scalar_py(frame, 0.0))
+        (fill,) = [el.get("points") for el in root.iter(svg + "polygon")]
+        assert fill == (f"{_text6(_scalar_px(frame, nodes[0]))},{base} "
+                        f"{staircase(heights[idx])} "
+                        f"{_text6(_scalar_px(frame, nodes[-1]))},{base}")
+
 
 class TestReadProfile:
     def test_malformed_row(self, tmp_path):
@@ -121,3 +251,39 @@ class TestReadProfile:
         (tmp_path / "profile.csv").write_text("a,b,c\n")
         with pytest.raises(DomainError):
             read_profile(str(tmp_path))
+
+    @staticmethod
+    def _write(tmp_path, rows):
+        (tmp_path / "profile.csv").write_text(
+            "step,x_center,height\n" + "".join(row + "\n" for row in rows))
+
+    def test_malformed_row_mid_file_names_its_line(self, tmp_path):
+        rows = [f"{step},{x},0.3" for step in range(3) for x in (0.5, 1.5)]
+        rows[3] = "1,1.5,0.3x"
+        self._write(tmp_path, rows)
+        with pytest.raises(DomainError, match=r"profile\.csv:5: malformed row '1,1\.5,0\.3x"):
+            read_profile(str(tmp_path))
+
+    @pytest.mark.parametrize("bad", ["1.5,0.5,0.3", "1,0.5", "1,0.5#,0.3",
+                                     "1,0.5,0.3,0.3", "1,0.5,"],
+                             ids=["non-integer step", "two fields", "hash in field",
+                                  "four fields", "empty field"])
+    def test_bad_row_names_its_line(self, tmp_path, bad):
+        self._write(tmp_path, ["0,0.5,0.3", "0,1.5,0.3", bad, "1,1.5,0.3"])
+        with pytest.raises(DomainError, match=r"profile\.csv:4: malformed row"):
+            read_profile(str(tmp_path))
+
+    def test_blank_body(self, tmp_path):
+        self._write(tmp_path, ["", ""])
+        with pytest.raises(DomainError, match="no profile rows"):
+            read_profile(str(tmp_path))
+
+    def test_steps_grouped_in_step_order(self, tmp_path):
+        self._write(tmp_path, ["2,0.5,3.0", "0,0.5,1.0", "2,1.5,3.5",
+                               "1,0.5,2.0", "0,1.5,1.5", "1,1.5,2.5"])
+        x_centers, steps = read_profile(str(tmp_path))
+        assert list(steps) == [0, 1, 2]
+        assert all(type(k) is int for k in steps)
+        np.testing.assert_array_equal(x_centers, [0.5, 1.5])
+        for k, expected in enumerate(([1.0, 1.5], [2.0, 2.5], [3.0, 3.5])):
+            np.testing.assert_array_equal(steps[k], expected)
