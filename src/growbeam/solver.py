@@ -6,9 +6,10 @@ The objective is separable,
     F(h) = delta * sum_j c_j(h_j) + delta/(2 tau) * sum_j (h_j - hprev_j)^2,
 
 so a projected-gradient method with an exact Euclidean projection onto
-{delta * sum h = m, h >= lb} is the natural solver.  Steps are sized by a
-safeguarded Barzilai-Borwein rule with Armijo backtracking along the
-projection arc, which keeps the objective monotonically non-increasing.
+{delta * sum h = m, h >= lb} (Michelot's active-set iteration on the shift)
+is the natural solver.  Steps are sized by a safeguarded Barzilai-Borwein
+rule with Armijo backtracking along the projection arc, which keeps the
+objective monotonically non-increasing.
 
 Sign conventions follow the Lagrangian L = F + lam * (delta sum h - m)
 - sum_j mu_j (h_j - lb_j): at a stationary point c' + (h - hprev)/tau + lam
@@ -83,10 +84,12 @@ class StepSolution:
 def _project_shift(z, lb, mass, delta):
     """Euclidean projection onto {delta * sum h = mass, h >= lb}.
 
-    Returns (h, t) with h_j = max(lb_j, z_j - t).  Bisection on the shift t
-    narrows the active set, then the shift is recomputed in closed form on
-    that set and the residual mass error spread over the free cells, so the
-    mass constraint holds to machine precision.
+    Returns (h, t) with h_j = max(lb_j, z_j - t), exact up to rounding.
+    Michelot's active-set iteration (Condat, Math. Prog. 2016, Sec. 3) on
+    the breakpoints y = z - lb: start from the shift that spreads the excess
+    mass over every cell, then keep the cells with y > t and recompute t in
+    closed form on them until no cell drops out.  The shift only grows and a
+    dropped cell stays dropped, so it ends after at most N passes.
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
@@ -98,36 +101,18 @@ def _project_shift(z, lb, mass, delta):
     if target <= base:
         return lb.copy(), float(np.max(z - lb))
 
-    n = z.size
-    t_lo = (float(np.sum(z)) - target) / n          # sum(max(lb, z-t_lo)) >= target
-    t_hi = float(np.max(z - lb))                    # all cells pinned
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if float(np.sum(np.maximum(lb, z - t_mid))) >= target:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= 1e-15 * max(1.0, abs(t_lo) + abs(t_hi)):
+    excess = target - base
+    kept = z - lb
+    t = (float(np.sum(kept)) - excess) / kept.size
+    while True:
+        above = kept[kept > t]
+        # An empty set means the excess is below the rounding of the sum:
+        # every cell is then pinned at this t.
+        if above.size in (0, kept.size):
             break
-
-    t = 0.5 * (t_lo + t_hi)
-    for _ in range(4):  # active-set polish
-        free = z - t > lb
-        n_free = int(np.count_nonzero(free))
-        if n_free == 0:
-            break
-        t_new = (float(np.sum(z[free])) - (target - float(np.sum(lb[~free])))) / n_free
-        if np.array_equal(z - t_new > lb, free):
-            t = t_new
-            break
-        t = t_new
-
-    h = np.maximum(lb, z - t)
-    free = h > lb
-    n_free = int(np.count_nonzero(free))
-    if n_free:
-        h[free] += (target - float(np.sum(h))) / n_free
-    return h, t
+        kept = above
+        t = (float(np.sum(kept)) - excess) / kept.size
+    return np.maximum(lb, z - t), t
 
 
 def project_mass_lb(z, lb, mass, delta):
@@ -154,7 +139,7 @@ def kkt_residual(problem: StepProblem, h, lam: float, tol_active: float = 1e-9) 
     the no-prestrain problem.
     """
     hv = _as_values(h, problem.config.n_cells)
-    q = np.asarray(problem.density.derivative(hv), dtype=float).copy()
+    q = np.asarray(problem.density.derivative(hv), dtype=float)
     if not math.isinf(problem.tau):
         q += (hv - problem.h_prev.values) / problem.tau
     return _stationarity(q, hv, problem.lower_bound.values, lam, tol_active)
@@ -184,7 +169,7 @@ def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
         return delta * val
 
     def density_grad(h):
-        q = np.asarray(density.derivative(h), dtype=float).copy()
+        q = np.asarray(density.derivative(h), dtype=float)
         if prox_on:
             q += (h - h_prev) / tau
         return q

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import growbeam as gb
 from growbeam.compliance import ComplianceDensity
 from growbeam.errors import ConvergenceError, InfeasibleError
+from growbeam.solver import _project_shift
 
 
 def projection_bruteforce(z, lb, mass, delta):
@@ -32,6 +33,30 @@ def projection_bruteforce(z, lb, mass, delta):
         if best is None or dist < best[0] - 1e-15:
             best = (dist, h)
     return best[1]
+
+
+def projection_sorted(z, lb, mass, delta):
+    """Sort-based oracle (Duchi et al. 2008; Condat 2016): the shift is set
+    by the largest k whose k-th largest breakpoint z - lb stays above the
+    shift that spreads the excess mass over the k largest."""
+    excess = mass / delta - lb.sum()
+    if excess <= 0.0:
+        return lb.copy()
+    y = np.sort(z - lb)[::-1]
+    shifts = (np.cumsum(y) - excess) / np.arange(1, y.size + 1)
+    t = shifts[np.flatnonzero(y > shifts)[-1]]
+    return lb + np.maximum(z - lb - t, 0.0)
+
+
+def assert_matches_oracle(z, lb, mass, delta):
+    out = gb.project_mass_lb(z, lb, mass, delta)
+    np.testing.assert_allclose(out, projection_sorted(z, lb, mass, delta), rtol=1e-12)
+    assert abs(delta * out.sum() - mass) <= 1e-12 * max(1.0, mass)
+    assert np.all(out >= lb)
+    return out
+
+
+SIZES = [1, 2, 1000, 20_000]
 
 
 class TestProjection:
@@ -68,6 +93,59 @@ class TestProjection:
         mass = 140.0
         out = gb.project_mass_lb(z, lb, mass, 0.1)
         assert abs(0.1 * out.sum() - mass) <= 1e-12 * mass
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_shift_is_exact(self, rng, n):
+        for _ in range(5):
+            lb = rng.uniform(0.1, 1.0, size=n)
+            z = lb + rng.normal(0.0, 1.0, size=n)
+            delta = 20.0 / n
+            mass = delta * (lb.sum() + float(rng.uniform(0.1, 1.0)) * n)
+            h, t = _project_shift(z, lb, mass, delta)
+            assert np.array_equal(h, np.maximum(lb, z - t))
+            # t solves the mass equation on its own free set
+            free = h > lb
+            t_free = (z[free].sum() - (mass / delta - lb[~free].sum())) / free.sum()
+            assert abs(t - t_free) <= 4 * np.spacing(np.max(np.abs(z)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("pinned", ["none", "half", "all_but_one"])
+    def test_matches_sorted_oracle(self, rng, n, pinned):
+        lb = rng.uniform(0.1, 1.0, size=n)
+        y = rng.normal(0.0, 1.0, size=n)
+        k = {"none": 0, "half": n // 2, "all_but_one": n - 1}[pinned]
+        # a shift between the k-th and (k+1)-th smallest breakpoint pins k cells
+        order = np.sort(y)
+        t = order[0] - 0.5 if k == 0 else 0.5 * (order[k - 1] + order[k])
+        delta = 20.0 / n
+        mass = delta * (lb.sum() + np.maximum(y - t, 0.0).sum())
+        out = assert_matches_oracle(lb + y, lb, mass, delta)
+        assert np.count_nonzero(out > lb) == n - k
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("t", [0.5, 0.6])
+    def test_matches_sorted_oracle_with_ties(self, rng, n, t):
+        lb = np.full(n, 0.5)
+        y = 0.25 * rng.integers(0, 5, size=n)     # breakpoints 0, 0.25, ..., 1
+        y[:2] = 1.0
+        mass = 0.5 * (lb.sum() + np.maximum(y - t, 0.0).sum())
+        out = assert_matches_oracle(lb + y, lb, mass, 0.5)
+        np.testing.assert_array_equal(out > lb, y > t)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lower_bound_mass_returns_lb(self, rng, n):
+        lb = rng.uniform(0.1, 1.0, size=n)
+        z = lb + rng.normal(0.0, 1.0, size=n)
+        out = assert_matches_oracle(z, lb, 0.5 * lb.sum(), 0.5)
+        np.testing.assert_array_equal(out, lb)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_feasible_point_unchanged_at_scale(self, rng, n):
+        # dyadic values keep every sum exact, so z is feasible to the bit
+        lb = rng.integers(1, 9, size=n) / 8.0
+        z = lb + rng.integers(1, 65, size=n) / 64.0
+        out = assert_matches_oracle(z, lb, 0.5 * z.sum(), 0.5)
+        np.testing.assert_array_equal(out, z)
 
 
 @settings(max_examples=100, deadline=None)

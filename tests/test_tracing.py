@@ -34,7 +34,10 @@ def test_every_patch_site_resolves(spans, ablation):
         gb.run_growth(config, load, 0.3, gb.MassSchedule.affine(0.0 if ablation else 0.4),
                       [gb.PrestrainPair(0.01, 0.02)] * 2, tau=0.1, ablation=ablation)
     assert set(patched.missing) <= spans.OPTIONAL
+    # optional only to the benchmark: a rename must not drop its metrics silently
+    assert "solver.projection" not in patched.missing
     metrics = spans.layer_metrics(recorder.spans, patched.missing)
+    assert metrics["solver.projection_calls"] > 0
     assert metrics["compliance.density_value_calls"] > 0
     assert metrics["compliance.density_derivative_calls"] > 0
     if ablation:
