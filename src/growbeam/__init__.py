@@ -8,10 +8,10 @@ from .baseline import (BaselineSolution, baseline_mass, solve_baseline_first,
                        solve_baseline_step)
 from .compliance import (ComplianceDensity, compliance_total,
                          convex_envelope_1d, density_baseline,
-                         density_derivative, density_precurv_first,
-                         density_prestrain, f_concavity_interval, f_second,
-                         f_second_raw, f_value, f_value_raw, g_second,
-                         g_second_raw, g_value, g_value_raw)
+                         density_precurv_first, density_prestrain,
+                         f_concavity_interval, f_second, f_second_raw,
+                         f_value, f_value_raw, g_second, g_second_raw,
+                         g_value, g_value_raw)
 from .errors import (ConfigError, ConvergenceError, DegenerateSectionError,
                      DomainError, InfeasibleError)
 from .growth import (GrowthTrace, MassSchedule, ScheduleKind, StepRecord,

@@ -1,12 +1,13 @@
 """Exact KKT solution of the no-prestrain step problem.
 
 On the growth set the optimal height satisfies lam = 36 M(x)^2 / (E h^4),
-i.e. h = (36 M^2 / (E lam))^(1/4); elsewhere it sticks to the previous
-profile.  Under a uniform load the candidate is affine in x, which makes the
-optimal profiles affine-then-unchanged.  The first step from a constant
-height admits a fully closed form; later steps fix the multiplier by a
-monotone bisection on the mass equation.  This module is the primary
-verification oracle for the numerical solver.
+i.e. h = c s with c = (36 M^2 / E)^(1/4) and s = lam^(-1/4); elsewhere it
+sticks to the previous profile.  Under a uniform load the candidate is
+affine in x, which makes the optimal profiles affine-then-unchanged.  The
+first step from a constant height admits a fully closed form; later steps
+solve the mass equation for s in closed form on an active set that only
+shrinks.  This module is the primary verification oracle for the numerical
+solver.
 """
 
 from __future__ import annotations
@@ -72,14 +73,16 @@ def baseline_mass(config: BeamConfig, load: LoadCase, h_prev, lam: float) -> flo
     return config.delta * float(np.sum(np.maximum(hp, cand)))
 
 
-def solve_baseline_step(config: BeamConfig, load: LoadCase, h_prev, m_i: float,
-                        lam_bracket=None) -> BaselineSolution:
+def solve_baseline_step(config: BeamConfig, load: LoadCase, h_prev,
+                        m_i: float) -> BaselineSolution:
     """One exact step from an arbitrary previous profile.
 
-    Bisects the multiplier until the discrete mass of
-    max(h_prev, (36 M^2/(E lam))^(1/4)) matches m_i to 1e-14 relative, then
-    re-solves lam in closed form on the identified growth set so the mass
-    equation holds to machine precision.
+    With c = (36 M^2/E)^(1/4) and s = lam^(-1/4) the step is
+    h = max(h_prev, c s).  Starting from every cell with c > 0, s is solved
+    in closed form from the mass equation on the kept cells, the cells with
+    c s < h_prev are dropped, and this repeats until none drops.  s only
+    decreases and a dropped cell stays dropped, so it ends after at most N
+    passes with the mass equation exact up to rounding.
     """
     hp = _as_values(h_prev, config.n_cells)
     e = config.young_modulus
@@ -97,47 +100,15 @@ def solve_baseline_step(config: BeamConfig, load: LoadCase, h_prev, m_i: float,
     if float(np.max(m2)) == 0.0:
         raise DomainError("zero bending moment everywhere; growth has no driver")
 
-    def mass_of(lam):
-        return delta * float(np.sum(np.maximum(hp, _candidate(m2, e, lam))))
-
-    if lam_bracket is None:
-        m2max = float(np.max(m2))
-        lam_lo = 36.0 * m2max / (e * (m_i / config.length + float(np.max(hp))) ** 4)
-        lam_hi = 36.0 * m2max / (e * float(np.min(hp)) ** 4)
-    else:
-        lam_lo, lam_hi = lam_bracket
-    for _ in range(200):                      # mass(lam) decreases in lam
-        if mass_of(lam_lo) >= m_i:
+    c = (36.0 * m2 / e) ** 0.25
+    target = m_i / delta
+    growth = c > 0.0
+    while True:
+        s = (target - float(np.sum(hp[~growth]))) / float(np.sum(c[growth]))
+        drop = growth & (c * s < hp)
+        # dropping every kept cell would mean m_i <= mass_prev up to rounding
+        if not np.any(drop) or np.array_equal(drop, growth):
             break
-        lam_lo *= 0.25
-    for _ in range(200):
-        if mass_of(lam_hi) <= m_i:
-            break
-        lam_hi *= 4.0
-
-    for _ in range(200):
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if mass_of(lam_mid) >= m_i:
-            lam_lo = lam_mid
-        else:
-            lam_hi = lam_mid
-        if abs(mass_of(lam_mid) - m_i) <= tol:
-            break
-
-    lam = 0.5 * (lam_lo + lam_hi)
-    for _ in range(4):                        # closed-form polish on the growth set
-        growth = _candidate(m2, e, lam) >= hp
-        coef = delta * float(np.sum((36.0 * m2[growth] / e) ** 0.25))
-        rest = delta * float(np.sum(hp[~growth]))
-        if coef == 0.0 or m_i <= rest:
-            break
-        lam_new = (coef / (m_i - rest)) ** 4
-        if np.array_equal(_candidate(m2, e, lam_new) >= hp, growth):
-            lam = lam_new
-            break
-        lam = lam_new
-
-    cand = _candidate(m2, e, lam)
-    growth = cand >= hp
-    h = np.where(growth, np.maximum(cand, hp), hp)
-    return BaselineSolution(HeightField(h), float(lam), growth, None)
+        growth &= ~drop
+    h = np.where(growth, np.maximum(c * s, hp), hp)
+    return BaselineSolution(HeightField(h), float(s ** -4), growth, None)

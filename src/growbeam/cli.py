@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
     if rc.plot_steps:
         heights = dict(enumerate(trace.heights_by_step()))
         paths += render_profile_svg(trace.config.x_centers, heights,
-                                    list(rc.plot_steps), out_dir, rc.length)
+                                    list(rc.plot_steps), out_dir)
     for r in trace.records:
         _say(args, f"step {r.index}: mass {r.mass:.6f}  compliance {r.compliance:.6f}"
                    f"  lambda {r.lam:.6g}  kkt {r.kkt_residual:.2e}")
@@ -164,8 +164,7 @@ def _cmd_plot(args) -> int:
     x_centers, heights = read_profile(args.trace_dir)
     steps = args.steps or []
     out_dir = args.output_dir or args.trace_dir
-    length = float(x_centers[-1] + x_centers[0])  # centers are symmetric in the span
-    paths = render_profile_svg(x_centers, heights, steps, out_dir, length)
+    paths = render_profile_svg(x_centers, heights, steps, out_dir)
     _say(args, "wrote " + (", ".join(paths) if paths else "no files (empty step list)"))
     return 0
 

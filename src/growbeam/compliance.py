@@ -257,11 +257,6 @@ class ComplianceDensity:
         return a, r, eps_hist[row] + hb * kap_hist[row]
 
 
-def density_derivative(density: ComplianceDensity, h):
-    """d/dh of the density, in closed form; the same as ``density.derivative(h)``."""
-    return density.derivative(h)
-
-
 # ---------------------------------------------------------------------------
 # Dimensionless diagnostics.  With hbar = h/h0 and eta = M/(E h0^2 eps_p) the
 # constant-prestrain density is E eps_p^2 h0 f(eta, hbar); with

@@ -17,8 +17,8 @@ from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
-from .solver import (MassMode, SolverOptions, StepProblem, kkt_residual,
-                     minimize_step)
+from .solver import (TOL_ACTIVE, MassMode, SolverOptions, StepProblem,
+                     kkt_residual, minimize_step)
 
 log = logging.getLogger(__name__)
 
@@ -205,7 +205,7 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
             compliance=compliance_total(section.equilibrium(), sol.h, config),
             objective=sol.objective,
             lam=sol.lam,
-            growth_fraction=float(np.mean(inc > options.tol_active)),
+            growth_fraction=float(np.mean(inc > TOL_ACTIVE)),
             max_increment=float(np.max(inc)),
             kkt_residual=sol.kkt_residual,
             wall_time=elapsed,

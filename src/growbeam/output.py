@@ -253,10 +253,12 @@ def _write_svg(root, path):
     _write_atomic(path, [ET.tostring(root, encoding="unicode") + "\n"])
 
 
-def render_profile_svg(x_centers, heights_by_step, step_indices, directory,
-                       length):
+def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
     """One SVG per requested step: the filled region {0 <= y <= h_i(x)} plus
-    line overlays of every earlier profile.  Returns the written paths."""
+    line overlays of every earlier profile.  Returns the written paths.
+
+    The cell width is 2 * x_centers[0] and the span N times it, so a replot
+    from ``profile.csv`` draws the same nodes and ticks as the run did."""
     os.makedirs(directory, exist_ok=True)
     available = sorted(heights_by_step)
     for idx in step_indices:
@@ -265,9 +267,10 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory,
     if not step_indices:
         return []
     overall_max = max(float(np.max(heights_by_step[i])) for i in step_indices)
-    frame = _Frame(0.0, length, 0.0, overall_max)
+    width = 2.0 * float(x_centers[0])
     n = len(x_centers)
-    nodes = _coords(frame.px(np.arange(n + 1) * (length / n)))
+    frame = _Frame(0.0, n * width, 0.0, overall_max)
+    nodes = _coords(frame.px(np.arange(n + 1) * width))
     # every step up to the last requested one is drawn, as a fill or an
     # overlay; each staircase is formatted once and reused by later SVGs
     last = max(step_indices)

@@ -6,8 +6,9 @@ The objective is separable,
     F(h) = delta * sum_j c_j(h_j) + delta/(2 tau) * sum_j (h_j - hprev_j)^2,
 
 so a projected-gradient method with an exact Euclidean projection onto
-{delta * sum h = m, h >= lb} (Michelot's active-set iteration on the shift)
-is the natural solver.  Steps are sized by a safeguarded Barzilai-Borwein
+{delta * sum h = m, h >= lb} (Michelot's active-set iteration on the shift),
+or onto {delta * sum h <= m, h >= lb} when the budget is an upper bound, is
+the natural solver.  Steps are sized by a safeguarded Barzilai-Borwein
 rule with Armijo backtracking along the projection arc, which keeps the
 objective monotonically non-increasing.
 
@@ -36,15 +37,17 @@ class MassMode(enum.Enum):
     INEQUALITY = "inequality"
 
 
+TOL_ACTIVE = 1e-9        # bound-activity threshold
+ARMIJO = 1e-4            # sufficient-decrease factor of the line search
+BACKTRACK = 0.5          # step shrink factor per backtrack
+MAX_BACKTRACKS = 60
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol_kkt: float = 1e-8        # stationarity residual, density-gradient scale
     tol_mass: float = 1e-10      # mass feasibility, relative to the target
-    tol_active: float = 1e-9     # bound-activity threshold
     max_iter: int = 10_000
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
 
 
 @dataclass(frozen=True)
@@ -115,25 +118,38 @@ def _project_shift(z, lb, mass, delta):
     return np.maximum(lb, z - t), t
 
 
+def _project(z, lb, mass, delta, at_most):
+    """(h, t) of the projection onto {delta * sum h = mass, h >= lb}, or onto
+    {delta * sum h <= mass, h >= lb} if ``at_most``.  By the latter's KKT
+    conditions (t >= 0, zero unless the budget binds) that is max(lb, z)
+    with t = 0 when this point fits the budget, and the equality projection
+    otherwise."""
+    if at_most:
+        h = np.maximum(lb, z)
+        if delta * float(np.sum(h)) <= mass:
+            return h, 0.0
+    return _project_shift(z, lb, mass, delta)
+
+
 def project_mass_lb(z, lb, mass, delta):
     """Projection of z onto the mass/lower-bound constraint set (values only)."""
     h, _ = _project_shift(z, lb, mass, delta)
     return h
 
 
-def _stationarity(q, h, lb, lam, tol_active):
+def _stationarity(q, h, lb, lam):
     """Max stationarity defect |c' + prox' + lam| over cells above the bound."""
-    free = h > lb + tol_active
+    free = h > lb + TOL_ACTIVE
     if not np.any(free):
         return 0.0
     return float(np.max(np.abs(q[free] + lam)))
 
 
-def kkt_residual(problem: StepProblem, h, lam: float, tol_active: float = 1e-9) -> float:
+def kkt_residual(problem: StepProblem, h, lam: float) -> float:
     """Discrete stationarity residual of a candidate solution.
 
     Evaluates max_j |c'(h_j) + (h_j - hprev_j)/tau + lam| over the cells with
-    h_j > lb_j + tol_active; the proximal term drops out for tau = inf.  The
+    h_j > lb_j + TOL_ACTIVE; the proximal term drops out for tau = inf.  The
     max over an empty growth set is 0 by convention.  ``lam`` is the mass
     multiplier normalized so that lam = 36 M^2/(E h^4) on the growth set of
     the no-prestrain problem.
@@ -142,25 +158,35 @@ def kkt_residual(problem: StepProblem, h, lam: float, tol_active: float = 1e-9) 
     q = np.asarray(problem.density.derivative(hv), dtype=float)
     if not math.isinf(problem.tau):
         q += (hv - problem.h_prev.values) / problem.tau
-    return _stationarity(q, hv, problem.lower_bound.values, lam, tol_active)
+    return _stationarity(q, hv, problem.lower_bound.values, lam)
 
 
-def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
-    """Core PG loop.
+def minimize_step(problem: StepProblem, options: SolverOptions | None = None) -> StepSolution:
+    """Solve one incremental step to stationarity by one projected-gradient run.
 
-    ``projection`` maps a point to the feasible set and returns (h, shift).
-    ``fixed_lam`` pins the mass multiplier (bound-only subproblem of the
-    inequality mode); otherwise lam is estimated from the free cells, or,
-    when no cell is free (singleton feasible set), taken from the projection
-    dual and the step flagged degenerate.
+    Every iterate is projected onto the feasible set: {delta sum h = m,
+    h >= lb} in equality mode, {delta sum h <= m, h >= lb} in inequality
+    mode.  The latter projection is max(lb, z) when that point fits the
+    budget and the equality projection otherwise, as its KKT conditions
+    give.  The mass multiplier is estimated from the free cells; in
+    inequality mode it is 0 while the budget is slack (shift 0) and clipped
+    at 0 when it binds.  When no cell is free (singleton feasible set) it is
+    taken from the projection dual and the step flagged degenerate.
+    Nonconvex densities carry stationarity-only semantics; the returned
+    ``kkt_residual`` is the certificate.
     """
+    options = options or SolverOptions()
     density = problem.density
     delta = problem.config.delta
+    mass = problem.mass_target
     h_prev = problem.h_prev.values
     lb = problem.lower_bound.values
     tau = problem.tau
     prox_on = not math.isinf(tau)
-    mass_constrained = fixed_lam is None
+    at_most = problem.mass_mode is MassMode.INEQUALITY
+
+    def projection(z):
+        return _project(z, lb, mass, delta, at_most)
 
     def objective(h):
         val = float(np.sum(density.value(h)))
@@ -177,15 +203,14 @@ def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
     # Singleton feasible set: the mass budget equals the lower-bound mass, so
     # the only feasible point is lb itself.  Report the projection-dual
     # multiplier (unit step) and flag the step as degenerate.
-    if mass_constrained:
-        slack = problem.mass_target / delta - float(np.sum(lb))
-        if slack <= max(lb.size * options.tol_active,
-                        options.tol_mass * max(1.0, abs(problem.mass_target)) / delta):
-            h = lb.copy()
-            q = density_grad(h)
-            _, shift = projection(h - delta * q)
-            lam = shift / delta
-            return _pack_solution(problem, h, q, lam, 0.0, 0, [objective(h)], True)
+    slack = mass / delta - float(np.sum(lb))
+    if slack <= max(lb.size * TOL_ACTIVE,
+                    options.tol_mass * max(1.0, abs(mass)) / delta):
+        h = lb.copy()
+        q = density_grad(h)
+        _, shift = projection(h - delta * q)
+        lam = shift / delta
+        return _pack_solution(problem, h, q, lam, 0.0, 0, [objective(h)], True)
 
     h, shift = projection(np.maximum(h_prev, lb))
     q = density_grad(h)
@@ -196,17 +221,19 @@ def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
     best = (obj, h, q, 0.0)
 
     for it in range(1, options.max_iter + 1):
-        free = h > lb + options.tol_active
+        free = h > lb + TOL_ACTIVE
         degenerate = False
-        if not mass_constrained:
-            lam = fixed_lam
+        if at_most and shift <= 0.0:
+            lam = 0.0
         elif np.any(free):
             lam = -float(np.mean(q[free]))
+            if at_most:
+                lam = max(lam, 0.0)
         else:
             lam = shift / (alpha * delta)
             degenerate = True
 
-        r_stat = _stationarity(q, h, lb, lam, options.tol_active)
+        r_stat = _stationarity(q, h, lb, lam)
         r_dual = 0.0
         if np.any(~free) and not degenerate:
             r_dual = max(0.0, -float(np.min(q[~free] + lam)))
@@ -222,10 +249,10 @@ def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
         # true decrease per step drops below eps * |obj|.
         noise = 16.0 * np.finfo(float).eps * max(1.0, abs(obj))
         backtracks = 0
-        while (obj_new > obj + options.armijo * g_dot_d + noise
-               and backtracks < options.max_backtracks
+        while (obj_new > obj + ARMIJO * g_dot_d + noise
+               and backtracks < MAX_BACKTRACKS
                and float(np.max(np.abs(d))) > 0.0):
-            alpha *= options.backtrack
+            alpha *= BACKTRACK
             h_new, shift_new = projection(h - alpha * g)
             d = h_new - h
             g_dot_d = float(np.dot(g, d))
@@ -252,7 +279,7 @@ def _solve_projected_gradient(problem, options, projection, fixed_lam=None):
             best = (obj, h, q, lam)
 
     obj, h, q, lam = best
-    r_stat = _stationarity(q, h, lb, lam, options.tol_active)
+    r_stat = _stationarity(q, h, lb, lam)
     sol = _pack_solution(problem, h, q, lam, r_stat, options.max_iter, history, False)
     raise ConvergenceError(
         f"projected gradient did not reach tol_kkt={options.tol_kkt} "
@@ -278,40 +305,3 @@ def _pack_solution(problem, h, q, lam, r_stat, iterations, history, degenerate):
         objective_history=np.asarray(history),
         degenerate=degenerate,
     )
-
-
-def minimize_step(problem: StepProblem, options: SolverOptions | None = None) -> StepSolution:
-    """Solve one incremental step to stationarity.
-
-    Equality mode projects every iterate onto the exact-mass set.  The
-    inequality mode solves the equality problem first and keeps it if the
-    mass multiplier comes out nonnegative (the constraint binds); otherwise
-    the mass constraint is dropped (lam = 0) and only the bound projection
-    remains.  Nonconvex densities carry stationarity-only semantics; the
-    returned ``kkt_residual`` is the certificate.
-    """
-    options = options or SolverOptions()
-    mass = problem.mass_target
-    delta = problem.config.delta
-    lb = problem.lower_bound.values
-
-    def mass_projection(z):
-        return _project_shift(z, lb, mass, delta)
-
-    def bound_projection(z):
-        return np.maximum(lb, z), 0.0
-
-    eq = _solve_projected_gradient(problem, options, mass_projection)
-    if problem.mass_mode is MassMode.EQUALITY:
-        return eq
-    if eq.lam >= -options.tol_kkt:
-        eq.lam = max(eq.lam, 0.0)
-        return eq
-    free_sol = _solve_projected_gradient(problem, options, bound_projection, fixed_lam=0.0)
-    free_mass = free_sol.h.mass(problem.config)
-    if free_mass <= mass * (1.0 + options.tol_mass) + options.tol_mass:
-        return free_sol
-    # Nonconvex corner: the unconstrained-mass stationary point overshoots the
-    # budget; fall back to the mass-constrained solution.
-    eq.lam = max(eq.lam, 0.0)
-    return eq

@@ -78,6 +78,21 @@ class TestStep:
         # mass to near machine precision
         assert sol.h.mass(paper_config) == pytest.approx(m_i, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 7, 20_000])
+    def test_multiplier_exact_on_its_growth_set(self, rng, uniform_load, n):
+        # (36 M^2/(E lam))^(1/4) on the growth set and h_prev off it meet the
+        # mass target to rounding, for increments from 1e-12 to 10 times m
+        config = gb.BeamConfig(20.0, 1.0e5, n)
+        m = gb.bending_moment(uniform_load, config, config.x_centers)
+        for _ in range(20):
+            h_prev = gb.HeightField(rng.uniform(0.1, 0.6, size=n))
+            m_i = h_prev.mass(config) * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0))
+            sol = gb.solve_baseline_step(config, uniform_load, h_prev, m_i)
+            h = np.where(sol.growth_set, (36.0 * m**2 / (1.0e5 * sol.lam)) ** 0.25,
+                         h_prev.values)
+            assert abs(config.delta * float(np.sum(h)) - m_i) <= 1e-15 * m_i
+            assert abs(sol.h.mass(config) - m_i) <= 1e-15 * m_i
+
     def test_growth_profile_affine_under_uniform_load(self, paper_config, uniform_load):
         sol = gb.solve_baseline_step(paper_config, uniform_load,
                                      gb.HeightField.constant(paper_config, 0.3), 9.0)

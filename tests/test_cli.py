@@ -164,3 +164,18 @@ class TestPlot:
 
     def test_missing_trace_dir(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope"), "--steps", "0"]) == 4
+
+    def test_replot_matches_run_when_centres_do_not_sum_to_length(self, cfg_file,
+                                                                  tmp_path):
+        # x_centers[-1] + x_centers[0] is 58.900000000000006 here, and the
+        # x ticks then read 14.73 where the run's read 14.72
+        cfg = cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 2\n"
+                       "mass.increment = 0.6\nlength = 58.9\nn_cells = 13\n"
+                       "plot.steps = 0, 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out), "--quiet"]) == 0
+        plots = tmp_path / "plots"
+        assert main(["plot", str(out), "--steps", "0", "2",
+                     "--output-dir", str(plots), "--quiet"]) == 0
+        for name in ("profile_step_0.svg", "profile_step_2.svg"):
+            assert (plots / name).read_bytes() == (out / name).read_bytes(), name

@@ -232,12 +232,17 @@ class TestSectionState:
     def test_problems_rebuilt_from_the_trace(self, paper_config, uniform_load):
         pres = [gb.PrestrainPair(0.01, 0.0), gb.PrestrainPair(0.0, 0.05),
                 gb.PrestrainPair(-0.01, 0.02)]
-        tr = gb.run_growth(paper_config, uniform_load, 0.3,
-                           gb.MassSchedule.affine(0.4), pres, tau=0.01)
-        problems = tr.problems
-        assert [p.mass_target for p in problems] == pytest.approx([6.4, 6.8, 7.2])
-        for record, problem in zip(tr.records, problems):
-            assert gb.kkt_residual(problem, record.h, record.lam) == record.kkt_residual
+        for mode in gb.MassMode:
+            tr = gb.run_growth(paper_config, uniform_load, 0.3,
+                               gb.MassSchedule.affine(0.4), pres, tau=0.01,
+                               mass_mode=mode)
+            problems = tr.problems
+            assert [p.mass_target for p in problems] == pytest.approx([6.4, 6.8, 7.2])
+            for record, problem in zip(tr.records, problems):
+                assert gb.kkt_residual(problem, record.h, record.lam) == record.kkt_residual
+                if mode is gb.MassMode.INEQUALITY:
+                    assert record.lam >= 0.0
+                    assert record.lam * (problem.mass_target - record.mass) <= 1e-8
 
     def test_ablation_optimizes_the_recorded_compliance(self, paper_config, uniform_load):
         # the step objective minus its proximal term is the compliance the

@@ -169,13 +169,13 @@ class TestRenderSvg:
     def test_empty_step_list(self, run_trace, tmp_path):
         heights = dict(enumerate(run_trace.heights_by_step()))
         out = render_profile_svg(run_trace.config.x_centers, heights, [],
-                                 str(tmp_path / "plots"), 20.0)
+                                 str(tmp_path / "plots"))
         assert out == []
 
     def test_files_and_well_formed_xml(self, run_trace, tmp_path):
         heights = dict(enumerate(run_trace.heights_by_step()))
         out = render_profile_svg(run_trace.config.x_centers, heights, [0, 5, 10],
-                                 str(tmp_path), 20.0)
+                                 str(tmp_path))
         assert len(out) == 3
         for path in out:
             root = ET.parse(path).getroot()
@@ -191,7 +191,7 @@ class TestRenderSvg:
         heights = dict(enumerate(run_trace.heights_by_step()))
         with pytest.raises(DomainError):
             render_profile_svg(run_trace.config.x_centers, heights, [99],
-                               str(tmp_path), 20.0)
+                               str(tmp_path))
 
     @pytest.mark.parametrize("bounds", [(0.0, 20.0, 0.0, 1.7), (1.0, 6.0, -3.2, 0.4),
                                         (0.0, 1e-3, 5.0, 5.0)])
@@ -213,7 +213,7 @@ class TestRenderSvg:
         heights = dict(enumerate(run_trace.heights_by_step()))
         length, idx = 20.0, 4
         (path,) = render_profile_svg(run_trace.config.x_centers, heights, [idx],
-                                     str(tmp_path), length)
+                                     str(tmp_path))
         frame = _Frame(0.0, length, 0.0, float(np.max(heights[idx])))
         n = run_trace.config.n_cells
         nodes = np.arange(n + 1) * (length / n)

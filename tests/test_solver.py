@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import growbeam as gb
 from growbeam.compliance import ComplianceDensity
 from growbeam.errors import ConvergenceError, InfeasibleError
-from growbeam.solver import _project_shift
+from growbeam.solver import _project, _project_shift
 
 
 def projection_bruteforce(z, lb, mass, delta):
@@ -35,23 +35,31 @@ def projection_bruteforce(z, lb, mass, delta):
     return best[1]
 
 
-def projection_sorted(z, lb, mass, delta):
+def projection_sorted(z, lb, mass, delta, at_most=False):
     """Sort-based oracle (Duchi et al. 2008; Condat 2016): the shift is set
     by the largest k whose k-th largest breakpoint z - lb stays above the
-    shift that spreads the excess mass over the k largest."""
+    shift that spreads the excess mass over the k largest.  Under an at-most
+    budget the shift is a nonnegative multiplier, so it is clipped at 0."""
     excess = mass / delta - lb.sum()
     if excess <= 0.0:
         return lb.copy()
     y = np.sort(z - lb)[::-1]
     shifts = (np.cumsum(y) - excess) / np.arange(1, y.size + 1)
     t = shifts[np.flatnonzero(y > shifts)[-1]]
+    if at_most:
+        t = max(t, 0.0)
     return lb + np.maximum(z - lb - t, 0.0)
 
 
-def assert_matches_oracle(z, lb, mass, delta):
-    out = gb.project_mass_lb(z, lb, mass, delta)
-    np.testing.assert_allclose(out, projection_sorted(z, lb, mass, delta), rtol=1e-12)
-    assert abs(delta * out.sum() - mass) <= 1e-12 * max(1.0, mass)
+def assert_matches_oracle(z, lb, mass, delta, at_most=False):
+    if at_most:
+        out, _ = _project(z, lb, mass, delta, at_most)
+        assert delta * out.sum() <= mass * (1.0 + 1e-12)
+    else:
+        out = gb.project_mass_lb(z, lb, mass, delta)
+        assert abs(delta * out.sum() - mass) <= 1e-12 * max(1.0, mass)
+    np.testing.assert_allclose(out, projection_sorted(z, lb, mass, delta, at_most),
+                               rtol=1e-12)
     assert np.all(out >= lb)
     return out
 
@@ -114,13 +122,16 @@ class TestProjection:
         lb = rng.uniform(0.1, 1.0, size=n)
         y = rng.normal(0.0, 1.0, size=n)
         k = {"none": 0, "half": n // 2, "all_but_one": n - 1}[pinned]
-        # a shift between the k-th and (k+1)-th smallest breakpoint pins k cells
+        # a shift between the k-th and (k+1)-th smallest breakpoint pins k
+        # cells; an at-most budget takes no negative shift and pins y <= 0
         order = np.sort(y)
         t = order[0] - 0.5 if k == 0 else 0.5 * (order[k - 1] + order[k])
         delta = 20.0 / n
         mass = delta * (lb.sum() + np.maximum(y - t, 0.0).sum())
         out = assert_matches_oracle(lb + y, lb, mass, delta)
         assert np.count_nonzero(out > lb) == n - k
+        out = assert_matches_oracle(lb + y, lb, mass, delta, at_most=True)
+        np.testing.assert_array_equal(out > lb, y > max(t, 0.0))
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("t", [0.5, 0.6])

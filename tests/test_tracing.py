@@ -29,20 +29,27 @@ def spans():
 def test_every_patch_site_resolves(spans, ablation):
     config = gb.BeamConfig(20.0, 1.0e5, 40)
     load = gb.LoadCase(gb.LoadKind.UNIFORM, 0.02)
-    recorder = spans.Recorder()
-    with spans.Patched(recorder) as patched:
-        gb.run_growth(config, load, 0.3, gb.MassSchedule.affine(0.0 if ablation else 0.4),
-                      [gb.PrestrainPair(0.01, 0.02)] * 2, tau=0.1, ablation=ablation)
-    assert set(patched.missing) <= spans.OPTIONAL
-    # optional only to the benchmark: a rename must not drop its metrics silently
-    assert "solver.projection" not in patched.missing
-    metrics = spans.layer_metrics(recorder.spans, patched.missing)
-    assert metrics["solver.projection_calls"] > 0
-    assert metrics["compliance.density_value_calls"] > 0
-    assert metrics["compliance.density_derivative_calls"] > 0
-    if ablation:
-        assert metrics["compliance.history_cells_per_eval"] > 0
-    else:
-        assert metrics["beam.segments_calls"] == 0
-        assert metrics["compliance.history_cells_per_eval"] == 0
-    assert not math.isnan(metrics["growth.step_late_over_early"])
+    for mode in gb.MassMode:
+        recorder = spans.Recorder()
+        with spans.Patched(recorder) as patched:
+            trace = gb.run_growth(config, load, 0.3,
+                                  gb.MassSchedule.affine(0.0 if ablation else 0.4),
+                                  [gb.PrestrainPair(0.01, 0.02)] * 2, tau=0.1,
+                                  ablation=ablation, mass_mode=mode)
+        assert set(patched.missing) <= spans.OPTIONAL
+        # optional only to the benchmark: a rename must not drop its metrics silently
+        assert "solver.projection" not in patched.missing
+        metrics = spans.layer_metrics(recorder.spans, patched.missing)
+        # an at-most budget needs the mass projection only where it binds
+        # (here with ablation; without it the proximal term keeps lam = 0)
+        if mode is gb.MassMode.EQUALITY or any(r.lam > 0.0 for r in trace.records):
+            assert metrics["solver.projection_calls"] > 0
+        assert metrics["solver.iterations_per_step"] > 0
+        assert metrics["compliance.density_value_calls"] > 0
+        assert metrics["compliance.density_derivative_calls"] > 0
+        if ablation:
+            assert metrics["compliance.history_cells_per_eval"] > 0
+        else:
+            assert metrics["beam.segments_calls"] == 0
+            assert metrics["compliance.history_cells_per_eval"] == 0
+        assert not math.isnan(metrics["growth.step_late_over_early"])
