@@ -7,6 +7,9 @@ place.
 
 Numbers are formatted a whole array at a time: one ``%`` call over a row
 template per table, profile step or polyline, never one call per value.
+SVG polylines are drawn at pixel resolution: a run of more than four
+consecutive points in one pixel column keeps four of them
+(``_pixel_columns``); profile.csv holds the full data.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import os
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
-from itertools import chain
 
 import numpy as np
 
@@ -162,9 +164,29 @@ def _coord(v):
     return format(float(v), ".6g")
 
 
-def _coords(values) -> list:
-    """``_coord`` of every value of an array."""
-    return _format_rows([values], "%.6g")
+def _pixel_columns(px, py):
+    """Mask of the points kept of the polyline through (px[k], py[k]), given
+    in pixels.
+
+    A group is a maximal run of consecutive points with the same floor(px).
+    A group of at most 4 points is kept whole; a larger one keeps its first,
+    min-py, max-py and last point, in their order (M4 aggregation, Jugel et
+    al., PVLDB 7(10), 2014), which draws the same line at this width."""
+    col = np.floor(px)
+    if not np.any(col[4:] == col[:-4]):
+        # no 5 consecutive points share a column: every point is kept
+        return np.ones(len(px), dtype=bool)
+    new = np.r_[True, col[1:] != col[:-1]]
+    start = np.flatnonzero(new)
+    size = np.diff(np.r_[start, len(px)])
+    group = np.cumsum(new) - 1
+    keep = np.repeat(size <= 4, size)
+    keep[start] = keep[start + size - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = np.flatnonzero(py == extreme.reduceat(py, start)[group])
+        # the first hit of each group: ties leave one point, not a run
+        keep[hit[np.r_[True, group[hit[1:]] != group[hit[:-1]]]]] = True
+    return keep
 
 
 class _Frame:
@@ -187,8 +209,11 @@ class _Frame:
         return _H - _MB - (y - self.y0) / (self.y1 - self.y0) * (_H - _MT - _MB)
 
     def points(self, xs, ys) -> str:
-        """SVG points string of the polyline through (xs[k], ys[k])."""
-        return " ".join(_format_rows([self.px(xs), self.py(ys)], "%.6g"))
+        """SVG points string of the polyline through (xs[k], ys[k]), thinned
+        to at most 4 points per run in one pixel column."""
+        px, py = self.px(xs), self.py(ys)
+        keep = _pixel_columns(px, py)
+        return " ".join(_format_rows([px[keep], py[keep]], "%.6g"))
 
     def svg(self, xlabel, ylabel):
         """A new SVG root holding the background, plot box, ticks and labels."""
@@ -241,14 +266,6 @@ def _polyline(root, points, color, width="1.5", dash=None):
         el.set("stroke-dasharray", dash)
 
 
-def _staircase_points(node_coords, height_coords) -> str:
-    """Points of a piecewise-constant profile from the coordinate strings of
-    its N+1 cell nodes and N heights: (x_j, h_j) then (x_{j+1}, h_j) per cell."""
-    left = map(",".join, zip(node_coords, height_coords))
-    right = map(",".join, zip(node_coords[1:], height_coords))
-    return " ".join(chain.from_iterable(zip(left, right)))
-
-
 def _write_svg(root, path):
     _write_atomic(path, [ET.tostring(root, encoding="unicode") + "\n"])
 
@@ -270,18 +287,20 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
     width = 2.0 * float(x_centers[0])
     n = len(x_centers)
     frame = _Frame(0.0, n * width, 0.0, overall_max)
-    nodes = _coords(frame.px(np.arange(n + 1) * width))
+    # a staircase runs (x_j, h_j), (x_{j+1}, h_j) over the cell nodes x_j;
     # every step up to the last requested one is drawn, as a fill or an
-    # overlay; each staircase is formatted once and reused by later SVGs
+    # overlay, and each staircase is formatted once and reused by later SVGs
+    stair_x = np.repeat(np.arange(n + 1) * width, 2)[1:-1]
     last = max(step_indices)
-    stairs = {step: _staircase_points(nodes, _coords(frame.py(heights_by_step[step])))
+    stairs = {step: frame.points(stair_x, np.repeat(heights_by_step[step], 2))
               for step in available if step <= last}
+    left, right = _coord(frame.px(0.0)), _coord(frame.px(n * width))
     base = _coord(frame.py(0.0))
     paths = []
     for idx in step_indices:
         root = frame.svg("x [dm]", "height [dm]")
         ET.SubElement(root, "polygon",
-                      points=f"{nodes[0]},{base} {stairs[idx]} {nodes[-1]},{base}",
+                      points=f"{left},{base} {stairs[idx]} {right},{base}",
                       fill="#9ecae1", stroke="none")
         for prev in available:
             if prev >= idx:

@@ -179,3 +179,17 @@ class TestPlot:
                      "--output-dir", str(plots), "--quiet"]) == 0
         for name in ("profile_step_0.svg", "profile_step_2.svg"):
             assert (plots / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_replot_matches_run_above_the_thinning_threshold(self, cfg_file, tmp_path):
+        # 4000 staircase points over 560 pixel columns: runs of up to 8
+        # points per column are thinned, and the replot still matches
+        cfg = cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 2\n"
+                       "mass.increment = 0.6\nn_cells = 2000\nplot.steps = 0, 2\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output-dir", str(out), "--quiet"]) == 0
+        plots = tmp_path / "plots"
+        assert main(["plot", str(out), "--steps", "0", "2",
+                     "--output-dir", str(plots), "--quiet"]) == 0
+        for name in ("profile_step_0.svg", "profile_step_2.svg"):
+            assert (plots / name).read_bytes() == (out / name).read_bytes(), name
+            assert (out / name).stat().st_size < 200_000, name

@@ -8,8 +8,8 @@ import pytest
 
 import growbeam as gb
 from growbeam.errors import DomainError
-from growbeam.output import (_Frame, read_profile, render_profile_svg,
-                             write_csv, write_trace)
+from growbeam.output import (_Frame, _pixel_columns, read_profile,
+                             render_profile_svg, write_csv, write_trace)
 
 # binary64 values whose 17-digit text is easy to get wrong: the smallest
 # subnormal, a tiny normal, repeating and inexact decimals, a large integer
@@ -32,6 +32,17 @@ def _scalar_px(frame, x):
 
 def _scalar_py(frame, y):
     return 355 - (y - frame.y0) / (frame.y1 - frame.y0) * 335
+
+
+def _column_runs(px):
+    """The maximal runs of consecutive points with one floor(px), as ranges."""
+    cols = [math.floor(p) for p in px]
+    runs, start = [], 0
+    for k in range(1, len(cols) + 1):
+        if k == len(cols) or cols[k] != cols[start]:
+            runs.append(range(start, k))
+            start = k
+    return runs
 
 
 def _profile_oracle(x_centers, heights_by_step):
@@ -233,6 +244,57 @@ class TestRenderSvg:
         assert fill == (f"{_text6(_scalar_px(frame, nodes[0]))},{base} "
                         f"{staircase(heights[idx])} "
                         f"{_text6(_scalar_px(frame, nodes[-1]))},{base}")
+
+    # n = 2600 puts 4 or 5 points in each column of the sorted abscissae
+    @pytest.mark.parametrize("n", [1000, 2600, 10_000, 20_000])
+    @pytest.mark.parametrize("shape", ["random", "monotone", "oscillating", "unsorted_x"])
+    def test_thinning_keeps_the_picture(self, shape, n):
+        rng = np.random.default_rng(n)
+        xs = np.linspace(0.0, 20.0, n)
+        ys = {"random": rng.uniform(-1.0, 1.0, n),
+              "monotone": np.linspace(-1.0, 1.0, n),
+              "oscillating": np.sin(np.linspace(0.0, 400 * np.pi, n)),
+              "unsorted_x": rng.uniform(-1.0, 1.0, n)}[shape]
+        if shape == "unsorted_x":
+            # back and forth across the box: each column is visited by
+            # several runs, and runs are long where x turns
+            xs = 10.0 + 10.0 * np.sin(np.linspace(0.0, 7 * np.pi, n))
+        frame = _Frame(0.0, 20.0, -1.0, 1.0)
+        px, py = frame.px(xs), frame.py(ys)
+        keep = np.flatnonzero(_pixel_columns(px, py))
+        full = [f"{_text6(x)},{_text6(y)}" for x, y in zip(px.tolist(), py.tolist())]
+        assert frame.points(xs, ys).split(" ") == [full[k] for k in keep]
+        if shape != "unsorted_x":
+            assert len(keep) <= 4 * 561
+        kept = set(keep.tolist())
+        for run in _column_runs(px.tolist()):
+            mine = [k for k in run if k in kept]
+            if len(run) <= 4:
+                assert mine == list(run)
+                continue
+            assert len(mine) <= 4
+            assert (mine[0], mine[-1]) == (run[0], run[-1])
+            assert py[mine].min() == py[run.start:run.stop].min()
+            assert py[mine].max() == py[run.start:run.stop].max()
+
+    def test_fine_staircase_at_most_four_points_per_column(self, tmp_path):
+        n = 20_000
+        rng = np.random.default_rng(3)
+        x_centers = (np.arange(n) + 0.5) * (20.0 / n)
+        heights = {0: np.full(n, 0.3), 1: 0.3 + rng.uniform(0.0, 1.0, n)}
+        (path,) = render_profile_svg(x_centers, heights, [1], str(tmp_path))
+        svg = "{http://www.w3.org/2000/svg}"
+        root = ET.parse(path).getroot()
+        flat, line = [el.get("points").split(" ") for el in root.iter(svg + "polyline")]
+        (fill,) = [el.get("points").split(" ") for el in root.iter(svg + "polygon")]
+        assert fill[1:-1] == line
+        assert len(line) <= 4 * 561
+        # a flat column ties min and max with its first point
+        assert len(flat) <= 2 * 561
+        frame = _Frame(0.0, 20.0, 0.0, float(np.max(heights[1])))
+        for points, h in ((flat, heights[0]), (line, heights[1])):
+            assert points[0] == f"{_text6(frame.px(0.0))},{_text6(frame.py(h[0]))}"
+            assert points[-1] == f"{_text6(frame.px(20.0))},{_text6(frame.py(h[-1]))}"
 
 
 class TestReadProfile:
