@@ -189,7 +189,7 @@ class ComplianceDensity:
         r = self.beta + h * h * (0.5 * self.eps_p + self.kappa_p * h / 3.0)
         below = self._ablated(h)
         if below is not None:
-            a[below], r[below], _ = self._trimmed(h, below)
+            a[below], r[below], *_ = self._trimmed(h, below)
         return a, r
 
     def value(self, h):
@@ -206,7 +206,7 @@ class ComplianceDensity:
             out += self._c0 + h * (p1 + h * (p2 + h * p3))
         below = self._ablated(h)
         if below is not None:
-            a, r, _ = self._trimmed(h, below)
+            a, r, *_ = self._trimmed(h, below)
             out[below] = _quadratic_form(_masked(self.young_modulus, below),
                                          a, r, h[below])
         return out
@@ -226,11 +226,33 @@ class ComplianceDensity:
             out += e_top * e_top
         below = self._ablated(h)
         if below is not None:
-            a, r, e_top = self._trimmed(h, below)
+            a, r, e_top, _ = self._trimmed(h, below)
             hb = h[below]
             w = a * hb - 3.0 * r
             out[below] = (-4.0 * _masked(self.young_modulus, below)
                           * w * (w + e_top * hb * hb) / hb**4)
+        return out
+
+    def curvature(self, h):
+        """c''(h) = E [2 kappa_p (eps_p + kappa_p h) + 8 (alpha h - 3 beta)
+        (alpha h - 6 beta) / h^5], from the derivative's coefficients."""
+        h = _check_height(h)
+        s1, s2 = self._slope
+        u = 1.0 / h
+        out = 2.0 * u**3 * (s1 + s2 * u) * (s1 + 2.0 * s2 * u)
+        if self._prestrained:
+            q0, q1 = self._surface
+            out += 2.0 * q1 * (q0 + q1 * h)
+        below = self._ablated(h)
+        if below is not None:
+            # with w = A h - 3R and e = e^p(h): w' = A - 2 e h, e' = kappa
+            a, r, e, kap = self._trimmed(h, below)
+            hb = h[below]
+            w = a * hb - 3.0 * r
+            out[below] = (-4.0 * _masked(self.young_modulus, below)
+                          * ((2.0 * w + e * hb * hb) * (a - 2.0 * e * hb) * hb
+                             + (2.0 * e + kap * hb) * w * hb * hb
+                             - 4.0 * w * (w + e * hb * hb)) / hb**5)
         return out
 
     # -- ablation: cells cut below h_prev ---------------------------------
@@ -243,8 +265,8 @@ class ComplianceDensity:
         return below if np.any(below) else None
 
     def _trimmed(self, h, below):
-        """A, R and the surface prestrain e^p(h) of the cells in ``below``,
-        from the history trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h))."""
+        """A, R, e^p(h) and de^p/dh of the cells in ``below``, from the history
+        trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h))."""
         y_lo, y_hi, eps_hist, kap_hist = self.history
         hb = h[below]
         lo = np.minimum(y_lo[:, below], hb)
@@ -254,7 +276,7 @@ class ComplianceDensity:
         # the topmost segment (y_lo, y_hi] holding the surface owns it
         inside = (hb > y_lo[:, below]) & (hb <= y_hi[:, below])
         row = inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
-        return a, r, eps_hist[row] + hb * kap_hist[row]
+        return a, r, eps_hist[row] + hb * kap_hist[row], kap_hist[row]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ The objective is separable,
 
     F(h) = delta * sum_j c_j(h_j) + delta/(2 tau) * sum_j (h_j - hprev_j)^2,
 
-so a projected-gradient method with an exact Euclidean projection onto
+with a diagonal Hessian, one mass constraint and a lower bound per cell.
+Its classical solver is projected Newton (Bertsekas, SIAM J. Control Optim.
+1982): a diagonal Newton step projected in the Hessian metric onto
 {delta * sum h = m, h >= lb} (Michelot's active-set iteration on the shift),
-or onto {delta * sum h <= m, h >= lb} when the budget is an upper bound, is
-the natural solver.  Steps are sized by a safeguarded Barzilai-Borwein
-rule with Armijo backtracking along the projection arc, which keeps the
-objective monotonically non-increasing.
+or onto {delta * sum h <= m, h >= lb} when the budget is an upper bound,
+with Armijo backtracking along the projection arc.
 
 Sign conventions follow the Lagrangian L = F + lam * (delta sum h - m)
 - sum_j mu_j (h_j - lb_j): at a stationary point c' + (h - hprev)/tau + lam
@@ -40,7 +40,6 @@ class MassMode(enum.Enum):
 TOL_ACTIVE = 1e-9        # bound-activity threshold
 ARMIJO = 1e-4            # sufficient-decrease factor of the line search
 BACKTRACK = 0.5          # step shrink factor per backtrack
-MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,16 @@ class StepSolution:
     degenerate: bool = False
 
 
-def _project_shift(z, lb, mass, delta):
-    """Euclidean projection onto {delta * sum h = mass, h >= lb}.
+def _project_shift(z, lb, mass, delta, w=1.0):
+    """Projection onto {delta * sum h = mass, h >= lb} in the metric
+    sum (h - z)^2 / w, w > 0 (Euclidean for a scalar w).
 
-    Returns (h, t) with h_j = max(lb_j, z_j - t), exact up to rounding.
+    Returns (h, t) with h_j = max(lb_j, z_j - t w_j), exact up to rounding.
     Michelot's active-set iteration (Condat, Math. Prog. 2016, Sec. 3) on
     the breakpoints y = z - lb: start from the shift that spreads the excess
-    mass over every cell, then keep the cells with y > t and recompute t in
-    closed form on them until no cell drops out.  The shift only grows and a
-    dropped cell stays dropped, so it ends after at most N passes.
+    mass over every cell, then keep the cells with y > t w and recompute
+    t = (sum y - excess) / sum w on them until no cell drops out.  The shift
+    only grows and a dropped cell stays dropped, so it ends in N passes.
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
@@ -102,33 +102,36 @@ def _project_shift(z, lb, mass, delta):
         raise InfeasibleError(
             f"mass {mass} infeasible for the lower bound (needs >= {base * delta})")
     if target <= base:
-        return lb.copy(), float(np.max(z - lb))
+        return lb.copy(), float(np.max((z - lb) / w))
 
     excess = target - base
-    kept = z - lb
-    t = (float(np.sum(kept)) - excess) / kept.size
+    kept, w_kept = z - lb, w
     while True:
-        above = kept[kept > t]
+        w_sum = float(np.sum(w_kept)) if np.ndim(w) else w * kept.size
+        t = (float(np.sum(kept)) - excess) / w_sum
+        mask = kept > t * w_kept
+        above = kept[mask]
         # An empty set means the excess is below the rounding of the sum:
         # every cell is then pinned at this t.
         if above.size in (0, kept.size):
             break
         kept = above
-        t = (float(np.sum(kept)) - excess) / kept.size
-    return np.maximum(lb, z - t), t
+        if np.ndim(w):
+            w_kept = w_kept[mask]
+    return np.maximum(lb, z - t * w), t
 
 
-def _project(z, lb, mass, delta, at_most):
-    """(h, t) of the projection onto {delta * sum h = mass, h >= lb}, or onto
-    {delta * sum h <= mass, h >= lb} if ``at_most``.  By the latter's KKT
-    conditions (t >= 0, zero unless the budget binds) that is max(lb, z)
-    with t = 0 when this point fits the budget, and the equality projection
-    otherwise."""
+def _project(z, lb, mass, delta, at_most, w=1.0):
+    """(h, t) of the projection in the metric sum (h - z)^2 / w onto
+    {delta * sum h = mass, h >= lb}, or onto {delta * sum h <= mass, h >= lb}
+    if ``at_most``.  By the latter's KKT conditions (t >= 0, zero unless the
+    budget binds) that is max(lb, z) with t = 0 when this point fits the
+    budget, and the equality projection otherwise."""
     if at_most:
         h = np.maximum(lb, z)
         if delta * float(np.sum(h)) <= mass:
             return h, 0.0
-    return _project_shift(z, lb, mass, delta)
+    return _project_shift(z, lb, mass, delta, w)
 
 
 def project_mass_lb(z, lb, mass, delta):
@@ -162,18 +165,18 @@ def kkt_residual(problem: StepProblem, h, lam: float) -> float:
 
 
 def minimize_step(problem: StepProblem, options: SolverOptions | None = None) -> StepSolution:
-    """Solve one incremental step to stationarity by one projected-gradient run.
+    """Solve one incremental step to stationarity by projected Newton.
 
-    Every iterate is projected onto the feasible set: {delta sum h = m,
-    h >= lb} in equality mode, {delta sum h <= m, h >= lb} in inequality
-    mode.  The latter projection is max(lb, z) when that point fits the
-    budget and the equality projection otherwise, as its KKT conditions
-    give.  The mass multiplier is estimated from the free cells; in
-    inequality mode it is 0 while the budget is slack (shift 0) and clipped
-    at 0 when it binds.  When no cell is free (singleton feasible set) it is
-    taken from the projection dual and the step flagged degenerate.
-    Nonconvex densities carry stationarity-only semantics; the returned
-    ``kkt_residual`` is the certificate.
+    Each iteration projects z = h - q w, with q = c' + (h - hprev)/tau and
+    w = 1/|c'' + 1/tau|, in the metric sum (h - z)^2 / w and backtracks
+    along that arc until the Armijo test holds.  A full step whose model
+    decrease is below the objective's noise floor is taken; a shorter one
+    that still fails the test raises ``ConvergenceError`` at once.  The mass
+    multiplier is estimated from the free cells; in inequality mode it is 0
+    while the budget is slack and clipped at 0 when it binds.  A singleton
+    feasible set (budget = lower-bound mass) takes it from the projection
+    dual and flags the step degenerate.  Nonconvex densities carry
+    stationarity-only semantics; ``kkt_residual`` is the certificate.
     """
     options = options or SolverOptions()
     density = problem.density
@@ -185,8 +188,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     prox_on = not math.isinf(tau)
     at_most = problem.mass_mode is MassMode.INEQUALITY
 
-    def projection(z):
-        return _project(z, lb, mass, delta, at_most)
+    def projection(z, w=1.0):
+        return _project(z, lb, mass, delta, at_most, w)
 
     def objective(h):
         val = float(np.sum(density.value(h)))
@@ -212,78 +215,51 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         lam = shift / delta
         return _pack_solution(problem, h, q, lam, 0.0, 0, [objective(h)], True)
 
+    def not_converged(why=""):   # at the current iterate
+        sol = _pack_solution(problem, h, q, lam, r_stat, it, history, False)
+        return ConvergenceError(
+            f"projected Newton did not reach tol_kkt={options.tol_kkt} "
+            f"in {it} iterations (residual {r_stat:.3e}){why}", best=sol)
+
     h, shift = projection(np.maximum(h_prev, lb))
     q = density_grad(h)
-    g = delta * q
     obj = objective(h)
     history = [obj]
-    alpha = 0.1 * max(float(np.max(h)), 1e-6) / (float(np.max(np.abs(g))) + 1e-300)
-    best = (obj, h, q, 0.0)
 
-    for it in range(1, options.max_iter + 1):
+    for it in range(options.max_iter + 1):
         free = h > lb + TOL_ACTIVE
-        degenerate = False
-        if at_most and shift <= 0.0:
-            lam = 0.0
-        elif np.any(free):
-            lam = -float(np.mean(q[free]))
-            if at_most:
-                lam = max(lam, 0.0)
-        else:
-            lam = shift / (alpha * delta)
-            degenerate = True
-
+        lam = -float(np.mean(q[free])) if np.any(free) else -float(np.min(q))
+        if at_most:
+            lam = max(lam, 0.0) if shift > 0.0 else 0.0
         r_stat = _stationarity(q, h, lb, lam)
-        r_dual = 0.0
-        if np.any(~free) and not degenerate:
-            r_dual = max(0.0, -float(np.min(q[~free] + lam)))
+        r_dual = -float(np.min(q[~free] + lam, initial=0.0))
         if r_stat <= options.tol_kkt and r_dual <= options.tol_kkt:
-            return _pack_solution(problem, h, q, lam, r_stat, it - 1, history, degenerate)
+            return _pack_solution(problem, h, q, lam, r_stat, it, history, False)
+        if it == options.max_iter:
+            raise not_converged()
 
-        h_new, shift_new = projection(h - alpha * g)
-        d = h_new - h
-        g_dot_d = float(np.dot(g, d))
-        obj_new = objective(h_new)
-        # Sufficient decrease up to the floating-point resolution of the
-        # objective; without the noise floor the line search freezes once the
-        # true decrease per step drops below eps * |obj|.
+        w = 1.0 / np.maximum(np.abs(density.curvature(h) + 1.0 / tau),
+                             np.finfo(float).tiny)
+        step = q * w
+        # Armijo up to the rounding of the objective: without the noise floor
+        # the search freezes once the true decrease drops below eps * |obj|.
         noise = 16.0 * np.finfo(float).eps * max(1.0, abs(obj))
-        backtracks = 0
-        while (obj_new > obj + ARMIJO * g_dot_d + noise
-               and backtracks < MAX_BACKTRACKS
-               and float(np.max(np.abs(d))) > 0.0):
-            alpha *= BACKTRACK
-            h_new, shift_new = projection(h - alpha * g)
-            d = h_new - h
-            g_dot_d = float(np.dot(g, d))
+        alpha = 1.0
+        while True:
+            h_new, shift_new = projection(h - alpha * step, w)
+            g_dot_d = delta * float(np.dot(q, h_new - h))
             obj_new = objective(h_new)
-            backtracks += 1
-        if obj_new > obj + noise:  # no acceptable decrease at this precision
-            h_new, shift_new, obj_new = h, shift, obj
-            d = np.zeros_like(h)
+            if (obj_new <= obj + ARMIJO * g_dot_d + noise
+                    or (alpha == 1.0 and -g_dot_d <= noise)):
+                break
+            if -g_dot_d <= noise:
+                raise not_converged("; no decrease above rounding along the step")
+            alpha *= BACKTRACK
 
-        q_new = density_grad(h_new)
-        g_new = delta * q_new
-
-        # safeguarded BB step from the accepted move
-        s_dot_y = float(np.dot(d, g_new - g))
-        if s_dot_y > 1e-300:
-            alpha = float(np.dot(d, d)) / s_dot_y
-        else:
-            alpha *= 2.0
-        alpha = min(max(alpha, 1e-18), 1e18)
-
-        h, q, g, obj, shift = h_new, q_new, g_new, obj_new, shift_new
+        h, shift, obj = h_new, shift_new, obj_new
+        q = density_grad(h)
         history.append(obj)
-        if obj < best[0]:
-            best = (obj, h, q, lam)
 
-    obj, h, q, lam = best
-    r_stat = _stationarity(q, h, lb, lam)
-    sol = _pack_solution(problem, h, q, lam, r_stat, options.max_iter, history, False)
-    raise ConvergenceError(
-        f"projected gradient did not reach tol_kkt={options.tol_kkt} "
-        f"in {options.max_iter} iterations (residual {r_stat:.3e})", best=sol)
 
 
 def _pack_solution(problem, h, q, lam, r_stat, iterations, history, degenerate):

@@ -267,23 +267,36 @@ class TestDensityDerivative:
                 q = e * kp * h0**3 + 3 * m
                 terms = (4 * q**2 / (e * h**4) + e * kp**2 * h**2
                          + 4 * h0**2 * abs(kp) * abs(q) / h**3 + e * h0**4 * kp**2 / h**2)
-            a = d.derivative(h)
-            b = fd4(d.value, h, 1e-4 * max(h, 1.0))
-            denom = max(abs(a), abs(b), 1e-3 * terms)
-            assert abs(a - b) / denom <= 1e-6
+            step = 1e-4 * max(h, 1.0)
+            for fn, df, scale in ((d.value, d.derivative, terms),
+                                  (d.derivative, d.curvature, terms / h)):
+                a = df(h)
+                b = fd4(fn, h, step)
+                denom = max(abs(a), abs(b), 1e-3 * scale)
+                assert abs(a - b) / denom <= 1e-6
 
     def test_general_matches_fd(self, rng, uniform_load):
         config = gb.BeamConfig(20.0, 1.0e5, 8)
-        for _ in range(40):
+        for ablation in [False] * 40 + [True] * 40:
             stack = random_stack(rng, config, 2)
             pre = gb.PrestrainPair(float(rng.uniform(-0.03, 0.03)),
                                    float(rng.uniform(-0.1, 0.1)))
+            if ablation:
+                # cut into the top layer, away from its edges, where the
+                # trimmed history sets the density
+                stack = gb.LayerStack(stack.heights, stack.prestrains, ablation=True)
+                lo, hi = stack.heights[-2].values, stack.top.values
+                h = lo + rng.uniform(0.25, 0.75, size=8) * (hi - lo)
+                step = np.minimum(1e-4, 0.05 * (hi - lo))
+            else:
+                h = stack.top.values + rng.uniform(0.01, 0.4, size=8)
+                step = 1e-4 * np.maximum(h, 1.0)
             d = ComplianceDensity.general(config, uniform_load, stack, pre)
-            h = stack.top.values + rng.uniform(0.01, 0.4, size=8)
-            a = d.derivative(h)
-            b = fd4(d.value, h, 1e-4 * np.maximum(h, 1.0))
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-            assert np.max(np.abs(a - b) / denom) <= 1e-6
+            for fn, df in ((d.value, d.derivative), (d.derivative, d.curvature)):
+                a = df(h)
+                b = fd4(fn, h, step)
+                denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+                assert np.max(np.abs(a - b) / denom) <= 1e-6
 
     def test_general_growth_side_at_kink(self, paper_config, moment_load):
         # a pinned cell must see the cost of depositing new material, not the

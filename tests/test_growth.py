@@ -105,6 +105,24 @@ class TestResidualScaling:
             maxres.append(np.max(res))
         assert maxres[2] <= maxres[0]
 
+    def test_barely_convex_step_converges(self, uniform_load):
+        # step 2 has min(c'' + 1/tau) = 0.098 against 1/tau = 10: a gradient
+        # step crawls there, a step scaled by the curvature does not
+        tr = gb.run_growth(gb.BeamConfig(20.0, 1.0e5, 40), uniform_load, 0.3,
+                           gb.MassSchedule.affine(0.4),
+                           [gb.PrestrainPair(-0.01, 0.02)] * 2, tau=0.1,
+                           options=gb.SolverOptions(max_iter=50))
+        assert max(r.kkt_residual for r in tr.records) <= 1e-8
+
+    def test_full_step_within_rounding_is_taken(self, uniform_load):
+        # near the solution the objective change of a full step is rounding;
+        # held to the Armijo test, the step would end there short of tol_kkt
+        tr = gb.run_growth(gb.BeamConfig(20.0, 1.0e5, 10), uniform_load, 0.3,
+                           gb.MassSchedule.affine(0.2),
+                           [gb.PrestrainPair(0.01, 0.0)] * 3, tau=0.1,
+                           mass_mode=gb.MassMode.INEQUALITY)
+        assert max(r.kkt_residual for r in tr.records) <= 1e-8
+
 
 class TestConstantMomentRuns:
     @pytest.mark.parametrize("pre", [gb.PrestrainPair(0.01, 0.0),
@@ -190,6 +208,17 @@ class TestFailurePaths:
         assert err.value.partial_trace is not None
         assert err.value.partial_trace.steps == 0
 
+    @pytest.mark.parametrize("mode", list(gb.MassMode))
+    def test_concave_ablation_kink_fails_fast(self, uniform_load, mode):
+        # removing old material costs more than the deposit slope predicts:
+        # the line search finds no decrease above rounding and says so at once
+        with pytest.raises(ConvergenceError, match="did not reach") as err:
+            gb.run_growth(gb.BeamConfig(20.0, 1.0e5, 40), uniform_load, 0.3,
+                          gb.MassSchedule.affine(0.0),
+                          [gb.PrestrainPair(-0.01, -0.02)] * 2, tau=0.1,
+                          ablation=True, mass_mode=mode)
+        assert err.value.best.iterations <= 5
+
     def test_first_target_below_initial_mass(self, paper_config, uniform_load):
         with pytest.raises(DomainError):
             gb.run_growth(paper_config, uniform_load, 0.3,
@@ -246,13 +275,15 @@ class TestSectionState:
 
     def test_ablation_optimizes_the_recorded_compliance(self, paper_config, uniform_load):
         # the step objective minus its proximal term is the compliance the
-        # trace records, from the first step on
-        tau = 0.1
-        tr = gb.run_growth(paper_config, uniform_load, 0.3,
-                           gb.MassSchedule.affine(0.0),
-                           [gb.PrestrainPair(0.01, 0.0)] * 2, tau=tau,
-                           ablation=True)
-        for record, problem in zip(tr.records, tr.problems):
-            prox = (paper_config.delta * 0.5 / tau
-                    * float(np.sum((record.h.values - problem.h_prev.values) ** 2)))
-            assert record.objective - prox == pytest.approx(record.compliance, rel=1e-12)
+        # trace records, from the first step on; without the proximal term
+        # the step must still converge at the kink of the ablation density
+        for tau in (0.1, math.inf):
+            tr = gb.run_growth(paper_config, uniform_load, 0.3,
+                               gb.MassSchedule.affine(0.0),
+                               [gb.PrestrainPair(0.01, 0.0)] * 2, tau=tau,
+                               ablation=True, options=gb.SolverOptions(max_iter=50))
+            for record, problem in zip(tr.records, tr.problems):
+                prox = (paper_config.delta * 0.5 / tau
+                        * float(np.sum((record.h.values - problem.h_prev.values) ** 2)))
+                assert record.objective - prox == pytest.approx(record.compliance,
+                                                                rel=1e-12)

@@ -35,31 +35,39 @@ def projection_bruteforce(z, lb, mass, delta):
     return best[1]
 
 
-def projection_sorted(z, lb, mass, delta, at_most=False):
-    """Sort-based oracle (Duchi et al. 2008; Condat 2016): the shift is set
-    by the largest k whose k-th largest breakpoint z - lb stays above the
-    shift that spreads the excess mass over the k largest.  Under an at-most
-    budget the shift is a nonnegative multiplier, so it is clipped at 0."""
+def projection_sorted(z, lb, mass, delta, at_most=False, w=1.0):
+    """Sort-based oracle (Duchi et al. 2008; Condat 2016) for the projection
+    in the metric sum (h - z)^2 / w: h = lb + max(y - t w, 0) with the
+    breakpoints y = z - lb.  The shift t is set by the largest k whose k-th
+    largest ratio y / w stays above the shift that spreads the excess mass
+    over the k largest, (sum y - excess) / sum w over them.  Under an
+    at-most budget the shift is a nonnegative multiplier, so it is clipped
+    at 0."""
     excess = mass / delta - lb.sum()
     if excess <= 0.0:
         return lb.copy()
-    y = np.sort(z - lb)[::-1]
-    shifts = (np.cumsum(y) - excess) / np.arange(1, y.size + 1)
-    t = shifts[np.flatnonzero(y > shifts)[-1]]
+    y = z - lb
+    w = np.broadcast_to(w, y.shape)
+    order = np.argsort(y / w)[::-1]
+    shifts = (np.cumsum(y[order]) - excess) / np.cumsum(w[order])
+    t = shifts[np.flatnonzero(y[order] / w[order] > shifts)[-1]]
     if at_most:
         t = max(t, 0.0)
-    return lb + np.maximum(z - lb - t, 0.0)
+    return lb + np.maximum(y - t * w, 0.0)
 
 
-def assert_matches_oracle(z, lb, mass, delta, at_most=False):
-    if at_most:
-        out, _ = _project(z, lb, mass, delta, at_most)
-        assert delta * out.sum() <= mass * (1.0 + 1e-12)
+def assert_matches_oracle(z, lb, mass, delta, at_most=False, w=None):
+    if at_most or w is not None:
+        out, _ = _project(z, lb, mass, delta, at_most, 1.0 if w is None else w)
     else:
         out = gb.project_mass_lb(z, lb, mass, delta)
+    if at_most:
+        assert delta * out.sum() <= mass * (1.0 + 1e-12)
+    else:
         assert abs(delta * out.sum() - mass) <= 1e-12 * max(1.0, mass)
-    np.testing.assert_allclose(out, projection_sorted(z, lb, mass, delta, at_most),
-                               rtol=1e-12)
+    np.testing.assert_allclose(
+        out, projection_sorted(z, lb, mass, delta, at_most, 1.0 if w is None else w),
+        rtol=1e-12)
     assert np.all(out >= lb)
     return out
 
@@ -122,16 +130,18 @@ class TestProjection:
         lb = rng.uniform(0.1, 1.0, size=n)
         y = rng.normal(0.0, 1.0, size=n)
         k = {"none": 0, "half": n // 2, "all_but_one": n - 1}[pinned]
-        # a shift between the k-th and (k+1)-th smallest breakpoint pins k
-        # cells; an at-most budget takes no negative shift and pins y <= 0
-        order = np.sort(y)
-        t = order[0] - 0.5 if k == 0 else 0.5 * (order[k - 1] + order[k])
-        delta = 20.0 / n
-        mass = delta * (lb.sum() + np.maximum(y - t, 0.0).sum())
-        out = assert_matches_oracle(lb + y, lb, mass, delta)
-        assert np.count_nonzero(out > lb) == n - k
-        out = assert_matches_oracle(lb + y, lb, mass, delta, at_most=True)
-        np.testing.assert_array_equal(out > lb, y > max(t, 0.0))
+        # unit weights (Euclidean) and the metric weights of a Newton step
+        for w in (1.0, 10.0 ** rng.uniform(-3.0, 3.0, size=n)):
+            # a shift between the k-th and (k+1)-th smallest ratio y / w pins
+            # k cells; an at-most budget takes no negative shift and pins y <= 0
+            order = np.sort(y / w)
+            t = order[0] - 0.5 if k == 0 else 0.5 * (order[k - 1] + order[k])
+            delta = 20.0 / n
+            mass = delta * (lb.sum() + np.maximum(y - t * w, 0.0).sum())
+            out = assert_matches_oracle(lb + y, lb, mass, delta, w=w)
+            assert np.count_nonzero(out > lb) == n - k
+            out = assert_matches_oracle(lb + y, lb, mass, delta, at_most=True, w=w)
+            np.testing.assert_array_equal(out > lb, y > max(t, 0.0) * w)
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("t", [0.5, 0.6])
