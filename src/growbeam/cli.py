@@ -113,7 +113,8 @@ def _cmd_analytic(args) -> int:
     paths = write_trace(trace, out_dir)
     analytic_path = os.path.join(out_dir, "analytic.json")
     _write_atomic(analytic_path,
-                  [json.dumps({"steps": analytic_rows}, indent=2, sort_keys=True) + "\n"])
+                  [(json.dumps({"steps": analytic_rows}, indent=2,
+                               sort_keys=True) + "\n").encode()])
     _say(args, "wrote " + ", ".join(paths + [analytic_path]))
     return 0
 

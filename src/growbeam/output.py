@@ -5,9 +5,10 @@ round-trip exactly; identical traces produce byte-identical files.  Files
 are written to a temporary name in the target directory and renamed into
 place.
 
-Numbers are formatted a whole array at a time: one ``%`` call over a row
-template per table, profile step or polyline, never one call per value.
-SVG polylines are drawn at pixel resolution: a run of more than four
+``_format17`` writes ``format(v, ".17g")`` for a whole array with exact
+integer arithmetic in numpy (per value outside [1e-4, 1e17)); profile.csv
+goes through it ``_BLOCK`` rows at a time.  SVG polylines take one ``%``
+call each and are drawn at pixel resolution: a run of more than four
 consecutive points in one pixel column keeps four of them
 (``_pixel_columns``); profile.csv holds the full data.
 """
@@ -29,18 +30,84 @@ PROFILE_CSV = "profile.csv"
 SUMMARY_JSON = "summary.json"
 _PROFILE_HEADER = "step,x_center,height"
 _PROFILE_ROW = np.dtype([("step", np.int64), ("x", float), ("height", float)])
+_BLOCK = 4096       # profile.csv rows per numpy pass
+# ASCII of 0000..9999 as uint32, then again with trailing zeros as NUL
+_DIGITS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1],
+                                                                 np.uint16) % 10 + 48
+_GROUPS = np.concatenate([_DIGITS, _DIGITS * np.logical_or.accumulate(
+    _DIGITS[:, ::-1] > 48, axis=1)[:, ::-1]]).astype(np.uint8).view(np.uint32).ravel()
+_POW10 = np.array([float(10 ** s) for s in range(21)])          # exact
+_DECADES = np.array([float(f"1e{k}") for k in range(-5, 18)])  # >= 10^k
 
 
-def _format_rows(columns, spec: str) -> list:
+def _format_rows(columns) -> list:
     """One string per row of the equal-length ``columns``: each value written
-    with the %-style ``spec`` (``"%.17g"``, ``"%.6g"``), joined by commas.
-
-    All values go through a single ``%`` call, which gives the same text as
-    ``format(v, spec[1:])`` value by value.
-    """
+    as ``format(v, ".6g")``, joined by commas, in a single ``%`` call."""
     table = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join([spec] * table.shape[1]) + "\n"
+    row = ",".join(["%.6g"] * table.shape[1]) + "\n"
     return (row * table.shape[0] % tuple(table.ravel().tolist())).splitlines()
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo into halves of at most 26 bits."""
+    hi = a * 134217729.0 - (a * 134217729.0 - a)
+    return hi, a - hi
+
+
+def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
+    """Row k: ``margin`` columns for the caller, ``format(values[k], ".17g")``
+    in ASCII, then the byte ``end``; NUL bytes anywhere are padding.
+
+    For |v| in [1e-4, 1e17) (fixed-point text), X = floor(log10 |v|) comes
+    from the exponent bits, and v * 10^(16 - X) = hi + lo exactly (Dekker's
+    product).  hi is an even integer above 2^53, so hi + rint(lo) is the
+    17-digit integer rounded half to even; no double lies close enough
+    below a power of ten for it to carry to 18 digits.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0
+    x = (((a.view(np.int64) >> 52) - 1023) * 78913) >> 18  # e2 * log10(2) floored
+    x += a >= _DECADES[x + 6]
+    p = _POW10[16 - x]
+    (a_hi, a_lo), (p_hi, p_lo), hi = _split(a), _split(p), a * p
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    lo_x, hi_x = (int(x[fast].min()), int(x[fast].max())) if fast.any() else (0, 0)
+    base = 1 + max(0, -lo_x)            # the column of the units digit
+    slow = np.flatnonzero(~fast)
+    texts = [format(v[i], ".17g").encode() for i in slow.tolist()]
+    width = max([base + 19, *map(len, texts)])
+    out = np.zeros((len(v), margin + width + 1), np.uint8)
+    out[:, -1] = end
+    text = out[:, margin:-1]
+    # each digit first as a fraction digit, digit i in column base + 1 + i
+    # after '0's; four at a time, from the table's second half when only
+    # zero groups follow
+    text[:, base + min(lo_x, 0):base + 1] = 48
+    groups = np.ndarray((len(v), 4), np.uint32, out.reshape(-1)[margin + base + 2:],
+                        strides=(out.shape[1], 4))
+    tail = np.ones(len(v), bool)
+    for k in range(3, -1, -1):
+        rest = d // 10 ** 4
+        groups[:, k] = _GROUPS[d - rest * 10 ** 4 + 10000 * tail]
+        tail &= rest * 10 ** 4 == d
+        d = rest
+    text[:, base + 1] = d + 48
+    big = np.flatnonzero(x > 0)     # integer digits are kept, zeros or not
+    text[big, base + 2:base + 18] |= np.uint8(48) * (np.arange(1, 17) <= x[big, None])
+    # then digits 0..X move one column left and '.' takes column X + 1 (if
+    # a digit follows); below 1, "0.0..." leads
+    for j in range(min(lo_x, 0), hi_x + 2):
+        right = text[:, base + j + 1]
+        col = np.where(j <= x, right, np.where(j == x + 1, 46 * (right > 0), text[:, base + j]))
+        text[:, base + j] = col if j >= 0 else col * (j >= x)
+    text[:, 0] = 45 * (v < 0)
+    if texts:
+        text[slow] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                                   np.uint8).reshape(-1, width)
+    return out
 
 
 def _umask() -> int:
@@ -50,13 +117,13 @@ def _umask() -> int:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write the strings of ``chunks`` (an iterable) to ``path`` atomically."""
+    """Write the bytes of ``chunks`` (an iterable) to ``path`` atomically."""
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -68,24 +135,37 @@ def _write_atomic(path: str, chunks) -> None:
 def write_csv(path: str, header: str, columns) -> None:
     """Write equal-length float ``columns`` under ``header``, 17 significant
     digits per value."""
-    _write_atomic(path, ["\n".join([header, *_format_rows(columns, "%.17g")]) + "\n"])
+    rows = np.concatenate([_format17(c, end=44) for c in columns], axis=1)
+    rows[:, -1] = 10
+    _write_atomic(path, [header.encode() + b"\n", rows.tobytes().translate(None, b"\0")])
+
+
+def _profile_blocks(trace: GrowthTrace):
+    """profile.csv as bytes, ``_BLOCK`` rows (which may span steps) at a time."""
+    heights = trace.heights_by_step()
+    xs = _format17(trace.config.x_centers, end=44)      # "x," once per cell
+    n, ws = len(xs), len(str(len(heights) - 1)) + 1
+    total = n * len(heights)
+    yield (_PROFILE_HEADER + "\n").encode()
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        parts = [(k, max(start - k * n, 0), min(stop - k * n, n))
+                 for k in range(start // n, (stop - 1) // n + 1)]
+        rows = _format17(np.concatenate([heights[k][i:j] for k, i, j in parts]),
+                         ws + xs.shape[1])
+        r = 0
+        for k, i, j in parts:
+            rows[r:r + j - i, :ws] = np.frombuffer(f"{k},".encode().ljust(ws, b"\0"), np.uint8)
+            rows[r:r + j - i, ws:ws + xs.shape[1]] = xs[i:j]
+            r += j - i
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def write_trace(trace: GrowthTrace, directory: str):
     """Emit profile.csv and summary.json; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
-    # the x-centres are formatted once; each step fills its heights into a
-    # row template "{step},{x},%.17g" and is written as one string
-    cells = [f",{x},%.17g\n" for x in _format_rows([trace.config.x_centers], "%.17g")]
-
-    def profile_text():
-        yield _PROFILE_HEADER + "\n"
-        for step, values in enumerate(trace.heights_by_step()):
-            prefix = str(step)
-            yield (prefix + prefix.join(cells)) % tuple(values.tolist())
-
     profile_path = os.path.join(directory, PROFILE_CSV)
-    _write_atomic(profile_path, profile_text())
+    _write_atomic(profile_path, _profile_blocks(trace))
 
     summary = {
         "initial": {
@@ -106,7 +186,7 @@ def write_trace(trace: GrowthTrace, directory: str):
         ],
     }
     summary_path = os.path.join(directory, SUMMARY_JSON)
-    _write_atomic(summary_path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+    _write_atomic(summary_path, [(json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()])
     return [profile_path, summary_path]
 
 
@@ -213,7 +293,7 @@ class _Frame:
         to at most 4 points per run in one pixel column."""
         px, py = self.px(xs), self.py(ys)
         keep = _pixel_columns(px, py)
-        return " ".join(_format_rows([px[keep], py[keep]], "%.6g"))
+        return " ".join(_format_rows([px[keep], py[keep]]))
 
     def svg(self, xlabel, ylabel):
         """A new SVG root holding the background, plot box, ticks and labels."""
@@ -267,7 +347,7 @@ def _polyline(root, points, color, width="1.5", dash=None):
 
 
 def _write_svg(root, path):
-    _write_atomic(path, [ET.tostring(root, encoding="unicode") + "\n"])
+    _write_atomic(path, [(ET.tostring(root, encoding="unicode") + "\n").encode()])
 
 
 def render_profile_svg(x_centers, heights_by_step, step_indices, directory):

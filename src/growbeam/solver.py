@@ -171,7 +171,9 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     w = 1/|c'' + 1/tau|, in the metric sum (h - z)^2 / w and backtracks
     along that arc until the Armijo test holds.  A full step whose model
     decrease is below the objective's noise floor is taken; a shorter one
-    that still fails the test raises ``ConvergenceError`` at once.  The mass
+    that still fails the test raises ``ConvergenceError`` at once, and so
+    does a residual that does not fall below the one before such a full
+    step (the iterates cycle at rounding level).  The mass
     multiplier is estimated from the free cells; in inequality mode it is 0
     while the budget is slack and clipped at 0 when it binds.  A singleton
     feasible set (budget = lower-bound mass) takes it from the projection
@@ -225,6 +227,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     q = density_grad(h)
     obj = objective(h)
     history = [obj]
+    floor_step = False
 
     for it in range(options.max_iter + 1):
         free = h > lb + TOL_ACTIVE
@@ -237,6 +240,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             return _pack_solution(problem, h, q, lam, r_stat, it, history, False)
         if it == options.max_iter:
             raise not_converged()
+        if floor_step and r_stat >= r_prev:
+            raise not_converged("; the residual stopped decreasing at rounding level")
 
         w = 1.0 / np.maximum(np.abs(density.curvature(h) + 1.0 / tau),
                              np.finfo(float).tiny)
@@ -257,6 +262,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             alpha *= BACKTRACK
 
         h, shift, obj = h_new, shift_new, obj_new
+        floor_step, r_prev = -g_dot_d <= noise, r_stat
         q = density_grad(h)
         history.append(obj)
 

@@ -219,6 +219,15 @@ class TestFailurePaths:
                           ablation=True, mass_mode=mode)
         assert err.value.best.iterations <= 5
 
+    def test_rounding_floor_cycle_fails_fast(self, paper_config, uniform_load):
+        # tol_kkt below what rounding reaches: the full steps are accepted
+        # on the noise clause and the residual cycles at rounding level
+        with pytest.raises(ConvergenceError, match="did not reach") as err:
+            gb.run_growth(paper_config, uniform_load, 0.3,
+                          gb.MassSchedule.affine(0.6), [gb.PrestrainPair()] * 3,
+                          tau=math.inf, options=gb.SolverOptions(tol_kkt=1e-16))
+        assert err.value.best.iterations <= 20
+
     def test_first_target_below_initial_mass(self, paper_config, uniform_load):
         with pytest.raises(DomainError):
             gb.run_growth(paper_config, uniform_load, 0.3,

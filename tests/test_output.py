@@ -3,12 +3,17 @@ import math
 import os
 import xml.etree.ElementTree as ET
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import growbeam as gb
+from growbeam import output
 from growbeam.errors import DomainError
-from growbeam.output import (_Frame, _pixel_columns, read_profile,
+from growbeam.output import (_format17, _Frame, _pixel_columns, read_profile,
                              render_profile_svg, write_csv, write_trace)
 
 # binary64 values whose 17-digit text is easy to get wrong: the smallest
@@ -67,12 +72,12 @@ def _trace_of(config, heights_by_step):
     return trace
 
 
-def _special_heights(n_cells, seed):
+def _special_heights(n_cells, seed, n_steps=len(SPECIAL_VALUES)):
     """Random positive profiles led by the special values, rotated one place
     per step so that even a one-cell grid writes each of them."""
     rng = np.random.default_rng(seed)
     steps = []
-    for k in range(len(SPECIAL_VALUES)):
+    for k in range(n_steps):
         values = rng.uniform(1e-3, 5.0, size=n_cells)
         lead = np.roll(SPECIAL_VALUES, k)[:n_cells]
         values[:len(lead)] = lead
@@ -144,10 +149,25 @@ class TestWriteTrace:
         paths = write_trace(small_trace, str(tmp_path))
         assert all(os.path.exists(p) for p in paths)
 
-    @pytest.mark.parametrize("n_cells, length", [(1, 20.0), (7, 7.3), (601, 1 / 3)])
-    def test_profile_matches_per_value_formatter(self, n_cells, length, tmp_path):
+    @pytest.mark.parametrize("n_cells, length, n_steps, block", [
+        pytest.param(1, 20.0, 5, None, id="1-20.0"),
+        pytest.param(7, 7.3, 5, None, id="7-7.3"),
+        pytest.param(601, 1 / 3, 5, None, id="601-0.3333333333333333"),
+        # N (S + 1) rows against blocks of 8: one below, at and one above a
+        # multiple, one cell over several blocks, a step longer than a block
+        pytest.param(3, 7.3, 5, 8, id="rows-2x8-minus-1"),
+        pytest.param(4, 7.3, 4, 8, id="rows-2x8"),
+        pytest.param(3, 7.3, 11, 8, id="rows-4x8-plus-1"),
+        pytest.param(1, 20.0, 17, 8, id="one-cell-17-rows"),
+        pytest.param(19, 7.3, 3, 8, id="step-over-blocks"),
+        pytest.param(output._BLOCK + 3, 1 / 3, 2, None, id="step-over-a-block"),
+    ])
+    def test_profile_matches_per_value_formatter(self, n_cells, length, n_steps, block,
+                                                 tmp_path, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(output, "_BLOCK", block)
         config = gb.BeamConfig(length, 1.0e5, n_cells)
-        heights = _special_heights(n_cells, seed=n_cells)
+        heights = _special_heights(n_cells, seed=n_cells, n_steps=n_steps)
         write_trace(_trace_of(config, heights), str(tmp_path))
         expected = _profile_oracle(config.x_centers, heights)
         assert (tmp_path / "profile.csv").read_bytes() == expected.encode()
@@ -161,6 +181,75 @@ class TestWriteTrace:
         assert list(steps) == list(range(len(heights)))
         for k, values in enumerate(heights):
             assert steps[k].tobytes() == values.tobytes()
+
+
+def _text_rows(values):
+    """The per-value oracle: one ``format(v, ".17g")`` line per value."""
+    return "".join(_text17(v) + "\n" for v in values).encode()
+
+
+def _formatted(values):
+    return _format17(np.asarray(values, dtype=float)).tobytes().translate(None, b"\0")
+
+
+def _exact_ties():
+    """Doubles with 18 significant digits ending in 5, so the 17th digit is
+    an exact tie: (2k + 1) / 2^p has p decimals, and just above 10^(17 - p)
+    it is a double (2k + 1 < 2^53) with 17 - p integer digits."""
+    ties = [(2 * (int(10.0 ** (17 - p) * 2 ** (p - 1)) + i) + 1) / 2 ** p
+            for p in range(2, 22) for i in range(1, 4)]
+    for t in ties:
+        digits = Decimal(t).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, t
+    return ties
+
+
+def _edge_values():
+    """Each decade 1e-6 .. 1e18 at 0, +-1 and +-2 ulp, both ends of the
+    fixed-point range, exact ties and their tenths, negatives and the
+    special values."""
+    decades = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    near = [decades]
+    for direction in (np.inf, 0.0):
+        step = decades
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    ends = [np.nextafter(b, d) for b in (1e-4, 1e17) for d in (0.0, np.inf)]
+    ties = np.array(_exact_ties())
+    values = np.concatenate([*near, ends, ties, ties / 10])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0 ** -1022,
+               -5e-324, 1.0, 10.0, 100.0, 1e16 + 2, 2.0 ** 53, 123456789.0]
+    return np.concatenate([values, -values, special])
+
+
+class TestFormat17:
+    def test_edge_values_match_format(self):
+        values = _edge_values()
+        assert _formatted(values) == _text_rows(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2 ** 64 - 1),
+        # the same patterns with the exponent in the fixed-point range
+        st.integers(int(np.float64(1e-5).view(np.int64)),
+                    int(np.float64(1e18).view(np.int64))),
+    ), min_size=1, max_size=64), st.lists(st.booleans(), min_size=64, max_size=64))
+    def test_raw_bit_patterns_match_format(self, bits, signs):
+        patterns = np.array(bits, dtype=np.uint64) | (np.array(signs[:len(bits)], np.uint64) << 63)
+        values = patterns.view(np.float64)
+        assert _formatted(values) == _text_rows(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.3] * 3, [1234.5, 1200.0, 10.0], [-1e16, 1e-4, 99999999999999984.0],
+        [5e-4, 0.00123, -0.0099],
+    ])
+    def test_margin_and_end(self, values):
+        rows = _format17(np.asarray(values, dtype=float), margin=2, end=44)
+        assert rows.shape[0] == len(values)
+        assert not rows[:, :2].any() and (rows[:, -1] == 44).all()
+        text = rows.tobytes().translate(None, b"\0")
+        assert text == "".join(_text17(v) + "," for v in values).encode()
 
 
 class TestWriteCsv:
