@@ -36,16 +36,9 @@ _DIGITS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10,
                                                                  np.uint16) % 10 + 48
 _GROUPS = np.concatenate([_DIGITS, _DIGITS * np.logical_or.accumulate(
     _DIGITS[:, ::-1] > 48, axis=1)[:, ::-1]]).astype(np.uint8).view(np.uint32).ravel()
+del _DIGITS
 _POW10 = np.array([float(10 ** s) for s in range(21)])          # exact
 _DECADES = np.array([float(f"1e{k}") for k in range(-5, 18)])  # >= 10^k
-
-
-def _format_rows(columns) -> list:
-    """One string per row of the equal-length ``columns``: each value written
-    as ``format(v, ".6g")``, joined by commas, in a single ``%`` call."""
-    table = np.column_stack(columns).astype(float, copy=False)
-    row = ",".join(["%.6g"] * table.shape[1]) + "\n"
-    return (row * table.shape[0] % tuple(table.ravel().tolist())).splitlines()
 
 
 def _split(a):
@@ -74,7 +67,7 @@ def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
     (a_hi, a_lo), (p_hi, p_lo), hi = _split(a), _split(p), a * p
     lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    lo_x, hi_x = (int(x[fast].min()), int(x[fast].max())) if fast.any() else (0, 0)
+    lo_x, hi_x = int(x.min(initial=0)), int(x.max(initial=0))   # slow rows: X = 0
     base = 1 + max(0, -lo_x)            # the column of the units digit
     slow = np.flatnonzero(~fast)
     texts = [format(v[i], ".17g").encode() for i in slow.tolist()]
@@ -85,25 +78,30 @@ def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
     # each digit first as a fraction digit, digit i in column base + 1 + i
     # after '0's; four at a time, from the table's second half when only
     # zero groups follow
-    text[:, base + min(lo_x, 0):base + 1] = 48
+    for j in range(lo_x, 1):
+        text[:, base + j] = 48
     groups = np.ndarray((len(v), 4), np.uint32, out.reshape(-1)[margin + base + 2:],
                         strides=(out.shape[1], 4))
-    tail = np.ones(len(v), bool)
+    tail = np.full(len(v), 10000)
     for k in range(3, -1, -1):
         rest = d // 10 ** 4
-        groups[:, k] = _GROUPS[d - rest * 10 ** 4 + 10000 * tail]
-        tail &= rest * 10 ** 4 == d
+        group = d - rest * 10 ** 4
+        groups[:, k] = _GROUPS[group + tail]
+        tail *= group == 0
         d = rest
     text[:, base + 1] = d + 48
-    big = np.flatnonzero(x > 0)     # integer digits are kept, zeros or not
-    text[big, base + 2:base + 18] |= np.uint8(48) * (np.arange(1, 17) <= x[big, None])
+    if hi_x > 0:                    # integer digits are kept, zeros or not
+        big = np.flatnonzero(x > 0)
+        text[big, base + 2:base + 18] |= np.uint8(48) * (np.arange(1, 17) <= x[big, None])
     # then digits 0..X move one column left and '.' takes column X + 1 (if
     # a digit follows); below 1, "0.0..." leads
-    for j in range(min(lo_x, 0), hi_x + 2):
+    for j in range(lo_x, hi_x + 2):
         right = text[:, base + j + 1]
         col = np.where(j <= x, right, np.where(j == x + 1, 46 * (right > 0), text[:, base + j]))
         text[:, base + j] = col if j >= 0 else col * (j >= x)
-    text[:, 0] = 45 * (v < 0)
+    neg = v < 0
+    if neg.any():
+        text[:, 0] = 45 * neg
     if texts:
         text[slow] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
                                    np.uint8).reshape(-1, width)
@@ -293,7 +291,8 @@ class _Frame:
         to at most 4 points per run in one pixel column."""
         px, py = self.px(xs), self.py(ys)
         keep = _pixel_columns(px, py)
-        return " ".join(_format_rows([px[keep], py[keep]]))
+        xy = np.column_stack([px[keep], py[keep]]).ravel().tolist()
+        return ("%.6g,%.6g " * (len(xy) // 2) % tuple(xy))[:-1]   # one % call
 
     def svg(self, xlabel, ylabel):
         """A new SVG root holding the background, plot box, ticks and labels."""

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
-
 from decimal import Decimal
 
 import numpy as np
