@@ -97,7 +97,8 @@ def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
     # a digit follows); below 1, "0.0..." leads
     for j in range(lo_x, hi_x + 2):
         right = text[:, base + j + 1]
-        col = np.where(j <= x, right, np.where(j == x + 1, 46 * (right > 0), text[:, base + j]))
+        col = np.where(j <= x, right,
+                       np.where(j == x + 1, 46 * (right > 0), text[:, base + j]))
         text[:, base + j] = col if j >= 0 else col * (j >= x)
     neg = v < 0
     if neg.any():
@@ -184,7 +185,8 @@ def write_trace(trace: GrowthTrace, directory: str):
         ],
     }
     summary_path = os.path.join(directory, SUMMARY_JSON)
-    _write_atomic(summary_path, [(json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()])
+    _write_atomic(summary_path,
+                  [(json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()])
     return [profile_path, summary_path]
 
 

@@ -235,7 +235,8 @@ class TestFormat17:
                     int(np.float64(1e18).view(np.int64))),
     ), min_size=1, max_size=64), st.lists(st.booleans(), min_size=64, max_size=64))
     def test_raw_bit_patterns_match_format(self, bits, signs):
-        patterns = np.array(bits, dtype=np.uint64) | (np.array(signs[:len(bits)], np.uint64) << 63)
+        signs = np.array(signs[:len(bits)], np.uint64) << 63
+        patterns = np.array(bits, dtype=np.uint64) | signs
         values = patterns.view(np.float64)
         assert _formatted(values) == _text_rows(values)
 
