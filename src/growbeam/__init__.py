@@ -1,30 +1,25 @@
 """Optimality-driven surface growth of a layered prestressed cantilever beam."""
 
+from types import ModuleType as _ModuleType
+
 from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
                    LoadCase, LoadKind, PrestrainPair, bending_moment,
-                   deflection, equilibrium_bare, equilibrium_general,
-                   equilibrium_one_layer, stress_at)
-from .baseline import (BaselineSolution, baseline_mass, solve_baseline_first,
-                       solve_baseline_step)
+                   deflection, equilibrium_general, stress_at)
+from .baseline import BaselineSolution, solve_baseline_first, solve_baseline_step
 from .compliance import (ComplianceDensity, compliance_total,
-                         convex_envelope_1d, density_baseline,
-                         density_precurv_first, density_prestrain,
-                         f_concavity_interval, f_second, f_second_raw,
-                         f_value, f_value_raw, g_second, g_second_raw,
-                         g_value, g_value_raw)
+                         convex_envelope_1d, density_baseline, f_second,
+                         f_value, g_second, g_value)
+from .config import RunConfig, dump_config, parse_config
 from .errors import (ConfigError, ConvergenceError, DegenerateSectionError,
                      DomainError, InfeasibleError)
 from .growth import (GrowthTrace, MassSchedule, ScheduleKind, StepRecord,
                      run_growth, stationarity_report)
+from .output import read_profile, render_curve_svg, render_profile_svg, write_trace
 from .solver import (MassMode, SolverOptions, StepProblem, StepSolution,
-                     kkt_residual, minimize_step, project_mass_lb)
+                     kkt_residual, minimize_step)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-
-from .config import RunConfig, dump_config, parse_config  # noqa: E402
-from .output import (read_profile, render_curve_svg, render_profile_svg,  # noqa: E402
-                     write_trace)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not part of the API
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

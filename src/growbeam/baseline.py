@@ -35,10 +35,6 @@ class BaselineSolution:
     x_hat: float | None = None
 
 
-def _candidate(m2, young_modulus, lam):
-    return (36.0 * m2 / (young_modulus * lam)) ** 0.25
-
-
 def solve_baseline_first(config: BeamConfig, p: float, h0: float, m1: float) -> BaselineSolution:
     """Closed-form first step from a constant height under a uniform load p.
 
@@ -63,14 +59,6 @@ def solve_baseline_first(config: BeamConfig, p: float, h0: float, m1: float) -> 
     growth = cand >= h0
     h = np.where(growth, np.maximum(cand, h0), h0)
     return BaselineSolution(HeightField(h), float(lam), growth, float(x_hat))
-
-
-def baseline_mass(config: BeamConfig, load: LoadCase, h_prev, lam: float) -> float:
-    """Mass of max(h_prev, candidate(lam)) under midpoint quadrature."""
-    hp = _as_values(h_prev, config.n_cells)
-    m2 = bending_moment(load, config, config.x_centers) ** 2
-    cand = _candidate(m2, config.young_modulus, lam)
-    return config.delta * float(np.sum(np.maximum(hp, cand)))
 
 
 def solve_baseline_step(config: BeamConfig, load: LoadCase, h_prev,

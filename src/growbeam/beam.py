@@ -252,31 +252,6 @@ def solve_section(h_top, a, b_pre, moment, young_modulus):
     return eps, kappa
 
 
-def equilibrium_bare(config: BeamConfig, load: LoadCase, h0) -> EquilibriumState:
-    """Equilibrium of the original beam: eps = 6M/(E h^2), kappa = -12M/(E h^3)."""
-    h = _as_values(h0, config.n_cells)
-    m = bending_moment(load, config, config.x_centers)
-    e = config.young_modulus
-    return EquilibriumState(6.0 * m / (e * h**2), -12.0 * m / (e * h**3))
-
-
-def equilibrium_one_layer(config: BeamConfig, load: LoadCase, h0, h1,
-                          pre: PrestrainPair) -> EquilibriumState:
-    """Closed-form equilibrium after depositing one prestrained layer on h0."""
-    h0 = _as_values(h0, config.n_cells)
-    h1 = _as_values(h1, config.n_cells)
-    if np.any(h1 < h0 - 1e-12):
-        raise DomainError("h1 must dominate h0 cellwise")
-    m = bending_moment(load, config, config.x_centers)
-    e = config.young_modulus
-    ep, kp = pre.eps_p, pre.kappa_p
-    d = h1 - h0
-    eps = (ep * h1 - 3.0 * ep * h0 - 2.0 * kp * h0**2) / h1**2 * d + 6.0 * m / (e * h1**2)
-    kappa = (4.0 * kp * h0**2 + kp * h0 * h1 + 6.0 * ep * h0 + kp * h1**2) / h1**3 * d \
-        - 12.0 * m / (e * h1**3)
-    return EquilibriumState(eps, kappa)
-
-
 def equilibrium_general(config: BeamConfig, load: LoadCase,
                         stack: LayerStack) -> EquilibriumState:
     """Equilibrium of an arbitrary deposition history via per-cell 2x2 solves."""

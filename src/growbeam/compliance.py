@@ -9,9 +9,11 @@ integral E e^2 over the section, which reduces to
 with (eps, kappa) the equilibrium fields for that profile.  Because the beam
 is statically determinate the integrand is a pointwise function of h, so one
 scalar density c(h) per cell suffices.  ``ComplianceDensity`` writes it as
-one quadratic form in the section's prestrain integrals; the closed forms
-for no prestrain, constant axial prestrain and a first precurved deposition
-are kept as independent references.
+one quadratic form in the section's prestrain integrals.  Only the
+no-prestrain closed form ``density_baseline`` stays here, for the
+``analytic`` subcommand; the closed forms for constant axial prestrain and a
+first precurved deposition, and the diagnostics' raw power sums, live in
+``tests/oracles.py`` as independent references.
 """
 
 from __future__ import annotations
@@ -39,44 +41,6 @@ def density_baseline(h, moment, young_modulus):
     if np.any(h <= 0):
         raise DomainError("height must be positive")
     out = 12.0 * np.asarray(moment, dtype=float) ** 2 / (young_modulus * h**3)
-    return float(out) if out.ndim == 0 else out
-
-
-def density_prestrain(h, h0, moment, young_modulus, eps_p):
-    """Compliance density for constant axial prestrain, zero precurvature.
-
-    Valid at every deposition step (the layer integrals telescope), and
-    reduces to the baseline density when eps_p = 0.
-    """
-    h = np.asarray(h, dtype=float)
-    h0 = np.asarray(h0, dtype=float)
-    if np.any(h0 <= 0):
-        raise DomainError("base height must be positive")
-    if np.any(h <= 0):
-        raise DomainError("height must be positive")
-    e, m = young_modulus, np.asarray(moment, dtype=float)
-    k = e * eps_p * h0**2 + 2.0 * m
-    out = (3.0 * k**2 / (e * h**3)
-           - e * eps_p**2 * (2.0 * h0 - h)
-           - 6.0 * eps_p * h0 * k / h**2
-           + 4.0 * e * eps_p**2 * h0**2 / h)
-    return float(out) if out.ndim == 0 else out
-
-
-def density_precurv_first(h, h0, moment, young_modulus, kappa_p):
-    """Compliance density for constant precurvature at the first deposition."""
-    h = np.asarray(h, dtype=float)
-    h0 = np.asarray(h0, dtype=float)
-    if np.any(h0 <= 0):
-        raise DomainError("base height must be positive")
-    if np.any(h <= 0):
-        raise DomainError("height must be positive")
-    e, m = young_modulus, np.asarray(moment, dtype=float)
-    q = e * kappa_p * h0**3 + 3.0 * m
-    out = (4.0 * q**2 / (3.0 * e * h**3)
-           - kappa_p * (2.0 * e * kappa_p * h0**3 - e * kappa_p * h**3 + 6.0 * m) / 3.0
-           - 2.0 * h0**2 * kappa_p * q / h**2
-           + e * h0**4 * kappa_p**2 / h)
     return float(out) if out.ndim == 0 else out
 
 
@@ -283,8 +247,7 @@ class ComplianceDensity:
 # Dimensionless diagnostics.  With hbar = h/h0 and eta = M/(E h0^2 eps_p) the
 # constant-prestrain density is E eps_p^2 h0 f(eta, hbar); with
 # mu = M/(E h0^3 kappa_p) the first-step precurvature density is
-# E h0^3 kappa_p^2 g(mu, hbar).  The *_raw variants evaluate the displayed
-# power sums verbatim and exist as cross-checks for the stabilized forms.
+# E h0^3 kappa_p^2 g(mu, hbar).
 # ---------------------------------------------------------------------------
 
 def _check_hbar(hbar):
@@ -308,32 +271,11 @@ def f_value(eta, hbar):
     return _ret(num / hb**3)
 
 
-def f_value_raw(eta, hbar):
-    hb = _check_hbar(hbar)
-    eta = np.asarray(eta, dtype=float)
-    num = (12.0 * eta**2 - 12.0 * eta * hb + 12.0 * eta
-           + hb**4 - 2.0 * hb**3 + 4.0 * hb**2 - 6.0 * hb + 3.0)
-    return _ret(num / hb**3)
-
-
 def f_second(eta, hbar):
     """d^2 f / d hbar^2 in factored form: 4 (6 eta - hbar + 3)(6 eta - 2 hbar + 3) / hbar^5."""
     hb = _check_hbar(hbar)
     eta = np.asarray(eta, dtype=float)
     return _ret(4.0 * (6.0 * eta - hb + 3.0) * (6.0 * eta - 2.0 * hb + 3.0) / hb**5)
-
-
-def f_second_raw(eta, hbar):
-    hb = _check_hbar(hbar)
-    eta = np.asarray(eta, dtype=float)
-    num = 144.0 * eta**2 + 144.0 * eta - 72.0 * eta * hb + 8.0 * hb**2 - 36.0 * hb + 36.0
-    return _ret(num / hb**5)
-
-
-def f_concavity_interval(eta):
-    """The hbar interval where f'' <= 0: between (6 eta + 3)/2 and 6 eta + 3."""
-    r = 6.0 * eta + 3.0
-    return min(r, 0.5 * r), max(r, 0.5 * r)
 
 
 def g_value(mu, hbar):
@@ -346,27 +288,12 @@ def g_value(mu, hbar):
                 + u * (1.0 + u * (-2.0 * t + u * (4.0 / 3.0) * t**2)))
 
 
-def g_value_raw(mu, hbar):
-    hb = _check_hbar(hbar)
-    mu = np.asarray(mu, dtype=float)
-    return _ret(1.0 / hb - (-hb**3 + 6.0 * mu + 2.0) / 3.0
-                - 2.0 * (3.0 * mu + 1.0) / hb**2
-                + 4.0 * (3.0 * mu + 1.0) ** 2 / (3.0 * hb**3))
-
-
 def g_second(mu, hbar):
     """d^2 g / d hbar^2 in completed-square form; positive for hbar >= 1."""
     hb = _check_hbar(hbar)
     mu = np.asarray(mu, dtype=float)
     sq = 72.0 * (mu + (8.0 - 3.0 * hb) / 24.0) ** 2
     return _ret(2.0 / hb**5 * (sq + hb**2 * (8.0 * hb**4 - 1.0) / 8.0))
-
-
-def g_second_raw(mu, hbar):
-    hb = _check_hbar(hbar)
-    mu = np.asarray(mu, dtype=float)
-    num = 72.0 * mu**2 - 18.0 * mu * hb + 48.0 * mu + hb**6 + hb**2 - 6.0 * hb + 8.0
-    return _ret(2.0 * num / hb**5)
 
 
 def convex_envelope_1d(x, y, domain=None):

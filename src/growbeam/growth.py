@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
-                   LoadCase, PrestrainPair, _as_values, bending_moment,
-                   solve_section)
+from .beam import (BeamConfig, EquilibriumState, HeightField, LoadCase,
+                   PrestrainPair, _as_values, bending_moment, solve_section)
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
@@ -116,8 +115,11 @@ class _Section:
     per-cell prestrain integrals A = int e^p dy, R = int y e^p dy - M/E.
 
     Each step adds one layer, so the state advances in O(N) per step.  Only
-    ablation, which may cut into earlier layers, also keeps the layer stack
-    whose history the density trims.
+    ablation, which may cut into earlier layers, also keeps the history the
+    density trims: the material segments (y_lo, y_hi), one row per layer and
+    row 0 the original material, with each layer's prestrain pair.  A
+    deposit clips every row at the new top and appends the new layer's row,
+    which is what ``LayerStack.segments`` computes by replaying the stack.
     """
 
     def __init__(self, config: BeamConfig, load: LoadCase, h0: HeightField,
@@ -127,15 +129,15 @@ class _Section:
         self.top = h0
         self.a = np.zeros(config.n_cells)
         self.r = -self.moment / config.young_modulus
-        self.stack = LayerStack((h0,), (), ablation=True) if ablation else None
+        self.history = ((np.zeros((1, h0.values.size)), h0.values[None, :],
+                         np.zeros(1), np.zeros(1)) if ablation else None)
         self.floor = HeightField(ABLATION_FLOOR_FRACTION * h0.values) if ablation else None
 
     def problem(self, pre: PrestrainPair, mass_target: float, tau: float,
                 mass_mode: MassMode) -> StepProblem:
-        history = self.stack.segments() if self.stack is not None else None
         density = ComplianceDensity(self.config.young_modulus, self.moment,
                                     self.top.values, self.a, self.r,
-                                    pre.eps_p, pre.kappa_p, history)
+                                    pre.eps_p, pre.kappa_p, self.history)
         return StepProblem(density=density, h_prev=self.top,
                            mass_target=float(mass_target), tau=tau,
                            mass_mode=mass_mode,
@@ -144,9 +146,12 @@ class _Section:
 
     def deposit(self, density: ComplianceDensity, h: HeightField, pre: PrestrainPair):
         self.a, self.r = density.section_integrals(h.values)
-        if self.stack is not None:
-            self.stack = LayerStack(self.stack.heights + (h,),
-                                    self.stack.prestrains + (pre,), ablation=True)
+        if self.history is not None:
+            y_lo, y_hi, eps_p, kappa_p = self.history
+            top, hv = self.top.values, h.values
+            self.history = (np.vstack((np.minimum(y_lo, hv), np.minimum(top, hv))),
+                            np.vstack((np.minimum(y_hi, hv), hv)),
+                            np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
         self.top = h
 
     def equilibrium(self) -> EquilibriumState:

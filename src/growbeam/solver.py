@@ -134,12 +134,6 @@ def _project(z, lb, mass, delta, at_most, w=1.0):
     return _project_shift(z, lb, mass, delta, w)
 
 
-def project_mass_lb(z, lb, mass, delta):
-    """Projection of z onto the mass/lower-bound constraint set (values only)."""
-    h, _ = _project_shift(z, lb, mass, delta)
-    return h
-
-
 def _stationarity(q, h, lb, lam):
     """Max stationarity defect |c' + prox' + lam| over cells above the bound."""
     free = h > lb + TOL_ACTIVE
@@ -172,13 +166,13 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     along that arc until the Armijo test holds.  A full step whose model
     decrease is below the objective's noise floor is taken; a shorter one
     that still fails the test raises ``ConvergenceError`` at once, and so
-    does a residual that does not fall below the one before such a full
-    step (the iterates cycle at rounding level).  The mass
-    multiplier is estimated from the free cells; in inequality mode it is 0
-    while the budget is slack and clipped at 0 when it binds.  A singleton
-    feasible set (budget = lower-bound mass) takes it from the projection
-    dual and flags the step degenerate.  Nonconvex densities carry
-    stationarity-only semantics; ``kkt_residual`` is the certificate.
+    does such a full step when the residual after it does not fall below
+    the one before it.  The mass multiplier is estimated from the free
+    cells; in inequality mode it is 0 while the budget is slack and clipped
+    at 0 when it binds.  A singleton feasible set (budget = lower-bound
+    mass) takes it from the projection dual and flags the step degenerate.
+    Nonconvex densities carry stationarity-only semantics; ``kkt_residual``
+    is the certificate.
     """
     options = options or SolverOptions()
     density = problem.density
@@ -241,7 +235,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         if it == options.max_iter:
             raise not_converged()
         if floor_step and r_stat >= r_prev:
-            raise not_converged("; the residual stopped decreasing at rounding level")
+            raise not_converged("; the full step's decrease was at rounding level "
+                                "and the residual did not fall")
 
         w = 1.0 / np.maximum(np.abs(density.curvature(h) + 1.0 / tau),
                              np.finfo(float).tiny)

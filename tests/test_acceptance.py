@@ -13,6 +13,7 @@ import pytest
 import growbeam as gb
 from growbeam.cli import main as cli_main
 from growbeam.compliance import ComplianceDensity
+from tests.oracles import equilibrium_one_layer, g_second_raw
 
 L, H0, E, P, M_CONST = 20.0, 0.3, 1.0e5, 0.02, 20.0
 
@@ -116,7 +117,7 @@ def test_criterion_03_g_convexity():
     mu = rng.uniform(-10.0, 10.0, size=100_000)
     hbar = rng.uniform(1.0, 10.0, size=100_000)
     stab = gb.g_second(mu, hbar)
-    raw = gb.g_second_raw(mu, hbar)
+    raw = g_second_raw(mu, hbar)
     rel = np.max(np.abs(stab - raw) / np.maximum(np.abs(stab), 1e-300))
     ok = bool(np.min(stab) > 0.0) and rel <= 1e-10
     check(3, "g'' positive on 1e5 samples; raw vs completed-square to 1e-10",
@@ -148,9 +149,9 @@ def test_criterion_06_remark1_identity():
         m = float(rng.uniform(-40.0, 40.0))
         load = gb.LoadCase(gb.LoadKind.MOMENT, m)
         pre = gb.PrestrainPair(6.0 * m / (E * h0**2), -12.0 * m / (E * h0**3))
-        st_ = gb.equilibrium_one_layer(config, load,
-                                       gb.HeightField.constant(config, h0),
-                                       gb.HeightField.constant(config, h1), pre)
+        st_ = equilibrium_one_layer(config, load,
+                                    gb.HeightField.constant(config, h0),
+                                    gb.HeightField.constant(config, h1), pre)
         eps_ref = 6.0 * m / (E * h0**2)
         kap_ref = -12.0 * m / (E * h0**3)
         scale = abs(eps_ref) + abs(kap_ref) * h0 + 1e-15

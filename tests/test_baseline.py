@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import growbeam as gb
-from growbeam.baseline import baseline_mass
 from growbeam.errors import DomainError, InfeasibleError
+from tests.oracles import baseline_mass
 
 
 class TestFirstStep:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import growbeam as gb
 from growbeam.errors import DegenerateSectionError, DomainError
 from tests.conftest import random_stack
+from tests.oracles import equilibrium_bare, equilibrium_one_layer
 
 
 def section_balance_residuals(state, stack, config, load):
@@ -66,20 +67,20 @@ class TestBendingMoment:
 class TestEquilibriumBare:
     def test_reference_values(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         assert st_.eps[0] == pytest.approx(0.0133333, rel=1e-5)
         assert st_.kappa[0] == pytest.approx(-0.0888889, rel=1e-5)
 
     def test_unloaded(self, paper_config):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        st_ = gb.equilibrium_bare(paper_config, gb.LoadCase(gb.LoadKind.MOMENT, 0.0), h0)
+        st_ = equilibrium_bare(paper_config, gb.LoadCase(gb.LoadKind.MOMENT, 0.0), h0)
         assert np.all(st_.eps == 0.0) and np.all(st_.kappa == 0.0)
 
     def test_height_power_laws(self, paper_config, moment_load):
-        a = gb.equilibrium_bare(paper_config, moment_load,
-                                gb.HeightField.constant(paper_config, 0.3))
-        b = gb.equilibrium_bare(paper_config, moment_load,
-                                gb.HeightField.constant(paper_config, 0.6))
+        a = equilibrium_bare(paper_config, moment_load,
+                             gb.HeightField.constant(paper_config, 0.3))
+        b = equilibrium_bare(paper_config, moment_load,
+                             gb.HeightField.constant(paper_config, 0.6))
         assert b.eps[0] == pytest.approx(a.eps[0] / 4.0, rel=1e-13)
         assert b.kappa[0] == pytest.approx(a.kappa[0] / 8.0, rel=1e-13)
 
@@ -88,17 +89,17 @@ class TestEquilibriumOneLayer:
     def test_stress_free_layer_reduces_to_taller_beam(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         h1 = gb.HeightField.constant(paper_config, 0.45)
-        st_ = gb.equilibrium_one_layer(paper_config, moment_load, h0, h1,
-                                       gb.PrestrainPair(0.0, 0.0))
-        bare = gb.equilibrium_bare(paper_config, moment_load, h1)
+        st_ = equilibrium_one_layer(paper_config, moment_load, h0, h1,
+                                    gb.PrestrainPair(0.0, 0.0))
+        bare = equilibrium_bare(paper_config, moment_load, h1)
         np.testing.assert_allclose(st_.eps, bare.eps, rtol=1e-13)
         np.testing.assert_allclose(st_.kappa, bare.kappa, rtol=1e-13)
 
     def test_reference_values(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         h1 = gb.HeightField.constant(paper_config, 0.4)
-        st_ = gb.equilibrium_one_layer(paper_config, moment_load, h0, h1,
-                                       gb.PrestrainPair(0.01, 0.0))
+        st_ = equilibrium_one_layer(paper_config, moment_load, h0, h1,
+                                    gb.PrestrainPair(0.01, 0.0))
         assert st_.eps[0] == pytest.approx(0.004375, rel=1e-12)
         assert st_.kappa[0] == pytest.approx(-0.009375, rel=1e-12)
 
@@ -113,9 +114,9 @@ class TestEquilibriumOneLayer:
             load = gb.LoadCase(gb.LoadKind.MOMENT, m)
             e = config.young_modulus
             pre = gb.PrestrainPair(6.0 * m / (e * h0**2), -12.0 * m / (e * h0**3))
-            st_ = gb.equilibrium_one_layer(config, load,
-                                           gb.HeightField.constant(config, h0),
-                                           gb.HeightField.constant(config, h1), pre)
+            st_ = equilibrium_one_layer(config, load,
+                                        gb.HeightField.constant(config, h0),
+                                        gb.HeightField.constant(config, h1), pre)
             assert st_.eps[0] == pytest.approx(6.0 * m / (e * h0**2), rel=1e-10, abs=1e-18)
             assert st_.kappa[0] == pytest.approx(-12.0 * m / (e * h0**3), rel=1e-10, abs=1e-18)
 
@@ -123,8 +124,8 @@ class TestEquilibriumOneLayer:
         h0 = gb.HeightField.constant(paper_config, 0.3)
         bad = gb.HeightField.constant(paper_config, 0.25)
         with pytest.raises(DomainError):
-            gb.equilibrium_one_layer(paper_config, moment_load, h0, bad,
-                                     gb.PrestrainPair(0.0, 0.0))
+            equilibrium_one_layer(paper_config, moment_load, h0, bad,
+                                  gb.PrestrainPair(0.0, 0.0))
 
 
 class TestEquilibriumGeneral:
@@ -139,7 +140,7 @@ class TestEquilibriumGeneral:
             load = gb.LoadCase(gb.LoadKind.MOMENT, m)
             f0 = gb.HeightField.constant(config, h0)
             f1 = gb.HeightField.constant(config, h1)
-            a = gb.equilibrium_one_layer(config, load, f0, f1, pre)
+            a = equilibrium_one_layer(config, load, f0, f1, pre)
             b = gb.equilibrium_general(config, load, gb.LayerStack((f0, f1), (pre,)))
             scale = (abs(pre.eps_p) + h1 * abs(pre.kappa_p)
                      + 6.0 * abs(m) / (config.young_modulus * h0**2) + 1e-12)
@@ -148,7 +149,7 @@ class TestEquilibriumGeneral:
 
     def test_zero_layers_is_bare(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        a = gb.equilibrium_bare(paper_config, uniform_load, h0)
+        a = equilibrium_bare(paper_config, uniform_load, h0)
         b = gb.equilibrium_general(paper_config, uniform_load, gb.LayerStack((h0,), ()))
         np.testing.assert_allclose(a.eps, b.eps, rtol=1e-13, atol=1e-20)
         np.testing.assert_allclose(a.kappa, b.kappa, rtol=1e-13, atol=1e-20)
@@ -159,7 +160,7 @@ class TestEquilibriumGeneral:
         h2 = gb.HeightField.constant(paper_config, 0.55)
         stack = gb.LayerStack((h0, h1, h2), (gb.PrestrainPair(), gb.PrestrainPair()))
         a = gb.equilibrium_general(paper_config, moment_load, stack)
-        b = gb.equilibrium_bare(paper_config, moment_load, h2)
+        b = equilibrium_bare(paper_config, moment_load, h2)
         np.testing.assert_allclose(a.eps, b.eps, rtol=1e-12)
         np.testing.assert_allclose(a.kappa, b.kappa, rtol=1e-12)
 
@@ -201,7 +202,7 @@ class TestStressAt:
     def test_base_of_bare_beam(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         stack = gb.LayerStack((h0,), ())
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         x = paper_config.x_centers[3]
         assert gb.stress_at(st_, stack, paper_config, x, 0.0) == pytest.approx(
             paper_config.young_modulus * st_.eps[3], rel=1e-13)
@@ -209,7 +210,7 @@ class TestStressAt:
     def test_neutral_axis_at_midheight(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         stack = gb.LayerStack((h0,), ())
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         assert abs(gb.stress_at(st_, stack, paper_config, 1.0, 0.15)) <= 1e-9
 
     def test_affine_within_layer(self, rng, uniform_load):
@@ -231,7 +232,7 @@ class TestStressAt:
     def test_above_surface_raises(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         stack = gb.LayerStack((h0,), ())
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         with pytest.raises(DomainError):
             gb.stress_at(st_, stack, paper_config, 1.0, 0.31)
 
@@ -257,7 +258,7 @@ class TestDeflection:
         for n in (50, 100):
             config = gb.BeamConfig(20.0, 1.0e5, n)
             h0 = gb.HeightField.constant(config, h)
-            st_ = gb.equilibrium_bare(config, uniform_load, h0)
+            st_ = equilibrium_bare(config, uniform_load, h0)
             w = gb.deflection(st_, config)
             errs.append(abs(w[-1] - exact))
         assert errs[1] <= errs[0] / 3.2  # ~4x for a second-order scheme
@@ -300,7 +301,7 @@ def test_one_layer_general_agreement_property(h0, extra, eps_p, kappa_p, m):
     f0 = gb.HeightField.constant(config, h0)
     f1 = gb.HeightField.constant(config, h0 + extra)
     pre = gb.PrestrainPair(eps_p, kappa_p)
-    a = gb.equilibrium_one_layer(config, load, f0, f1, pre)
+    a = equilibrium_one_layer(config, load, f0, f1, pre)
     b = gb.equilibrium_general(config, load, gb.LayerStack((f0, f1), (pre,)))
     scale = abs(eps_p) + abs(kappa_p) + abs(m) / config.young_modulus / h0**2 + 1e-9
     assert abs(a.eps[0] - b.eps[0]) <= 1e-11 * scale

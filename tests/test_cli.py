@@ -1,8 +1,10 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
+import growbeam as gb
 from growbeam.cli import main
 
 RUN_CFG = """\
@@ -193,3 +195,14 @@ class TestPlot:
         for name in ("profile_step_0.svg", "profile_step_2.svg"):
             assert (plots / name).read_bytes() == (out / name).read_bytes(), name
             assert (out / name).stat().st_size < 200_000, name
+
+
+def test_package_exports_no_modules_and_no_test_oracles():
+    # the closed forms only the tests use live in tests/oracles.py
+    assert not [name for name in gb.__all__
+                if isinstance(getattr(gb, name), types.ModuleType)]
+    for name in ("density_prestrain", "density_precurv_first", "f_value_raw",
+                 "f_second_raw", "g_value_raw", "g_second_raw",
+                 "f_concavity_interval", "equilibrium_bare",
+                 "equilibrium_one_layer", "baseline_mass", "project_mass_lb"):
+        assert not hasattr(gb, name), name

@@ -7,6 +7,10 @@ import growbeam as gb
 from growbeam.compliance import ComplianceDensity
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
+from tests.oracles import (density_precurv_first, density_prestrain,
+                           equilibrium_bare, equilibrium_one_layer,
+                           f_concavity_interval, f_second_raw, f_value_raw,
+                           g_second_raw, g_value_raw)
 
 ETA_NEG = 20.0 / (1.0e5 * 0.3**2 * -0.01)   # -2/9
 ETA_POS = -ETA_NEG
@@ -26,7 +30,7 @@ class TestComplianceTotal:
 
     def test_constant_moment_reference(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         c = gb.compliance_total(st_, h0, paper_config)
         assert c == pytest.approx(35.5556, rel=1e-5)
         assert c == pytest.approx(20.0 * 12.0 * 20.0**2 / (1.0e5 * 0.3**3), rel=1e-12)
@@ -48,7 +52,7 @@ class TestDensityBaseline:
 
     def test_matches_compliance_per_unit_length(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        st_ = gb.equilibrium_bare(paper_config, moment_load, h0)
+        st_ = equilibrium_bare(paper_config, moment_load, h0)
         per_len = gb.compliance_total(st_, h0, paper_config) / paper_config.length
         assert gb.density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(per_len, rel=1e-12)
 
@@ -60,13 +64,13 @@ class TestDensityBaseline:
 class TestDensityPrestrain:
     def test_reduces_to_baseline(self):
         for h in (0.3, 0.5, 1.2):
-            assert gb.density_prestrain(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
+            assert density_prestrain(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
                 gb.density_baseline(h, 20.0, 1.0e5), rel=1e-13)
 
     def test_value_at_base_height(self):
         # hbar = 1 collapses to the baseline density of the original beam
         want = 12.0 * 20.0**2 / (1.0e5 * 0.3**3)
-        assert gb.density_prestrain(0.3, 0.3, 20.0, 1.0e5, -0.01) == pytest.approx(
+        assert density_prestrain(0.3, 0.3, 20.0, 1.0e5, -0.01) == pytest.approx(
             want, rel=1e-12)
 
     def test_dimensionless_consistency(self, rng):
@@ -77,7 +81,7 @@ class TestDensityPrestrain:
             e = float(rng.uniform(1e4, 1e6))
             ep = float(rng.choice([-1, 1]) * rng.uniform(0.002, 0.05))
             eta = m / (e * h0**2 * ep)
-            direct = gb.density_prestrain(hbar * h0, h0, m, e, ep)
+            direct = density_prestrain(hbar * h0, h0, m, e, ep)
             scaled = e * ep**2 * h0 * gb.f_value(eta, hbar)
             assert direct == pytest.approx(scaled, rel=1e-10, abs=1e-10 * abs(scaled) + 1e-14)
 
@@ -91,29 +95,29 @@ class TestDensityPrestrain:
             m = float(rng.uniform(-40.0, 40.0))
             ep = float(rng.uniform(-0.05, 0.05))
             load = gb.LoadCase(gb.LoadKind.MOMENT, m)
-            st_ = gb.equilibrium_one_layer(config, load,
-                                           gb.HeightField.constant(config, h0),
-                                           gb.HeightField.constant(config, h1),
-                                           gb.PrestrainPair(ep, 0.0))
+            st_ = equilibrium_one_layer(config, load,
+                                        gb.HeightField.constant(config, h0),
+                                        gb.HeightField.constant(config, h1),
+                                        gb.PrestrainPair(ep, 0.0))
             u, v = st_.eps[0], st_.kappa[0]
             direct = config.young_modulus * (u**2 * h1 + u * v * h1**2 + v**2 * h1**3 / 3)
-            closed = gb.density_prestrain(h1, h0, m, config.young_modulus, ep)
+            closed = density_prestrain(h1, h0, m, config.young_modulus, ep)
             assert closed == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 class TestDensityPrecurvFirst:
     def test_base_height_is_baseline(self):
         want = 12.0 * 20.0**2 / (1.0e5 * 0.3**3)
-        assert gb.density_precurv_first(0.3, 0.3, 20.0, 1.0e5, 0.05) == pytest.approx(
+        assert density_precurv_first(0.3, 0.3, 20.0, 1.0e5, 0.05) == pytest.approx(
             want, rel=1e-12)
 
     def test_unloaded_at_base_height(self):
-        assert gb.density_precurv_first(0.3, 0.3, 0.0, 1.0e5, 0.05) == pytest.approx(
+        assert density_precurv_first(0.3, 0.3, 0.0, 1.0e5, 0.05) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_reduces_to_baseline(self):
         for h in (0.4, 0.9):
-            assert gb.density_precurv_first(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
+            assert density_precurv_first(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
                 gb.density_baseline(h, 20.0, 1.0e5), rel=1e-13)
 
     def test_matches_equilibrium_route(self, rng):
@@ -124,13 +128,13 @@ class TestDensityPrecurvFirst:
             m = float(rng.uniform(-40.0, 40.0))
             kp = float(rng.uniform(-0.2, 0.2))
             load = gb.LoadCase(gb.LoadKind.MOMENT, m)
-            st_ = gb.equilibrium_one_layer(config, load,
-                                           gb.HeightField.constant(config, h0),
-                                           gb.HeightField.constant(config, h1),
-                                           gb.PrestrainPair(0.0, kp))
+            st_ = equilibrium_one_layer(config, load,
+                                        gb.HeightField.constant(config, h0),
+                                        gb.HeightField.constant(config, h1),
+                                        gb.PrestrainPair(0.0, kp))
             u, v = st_.eps[0], st_.kappa[0]
             direct = config.young_modulus * (u**2 * h1 + u * v * h1**2 + v**2 * h1**3 / 3)
-            closed = gb.density_precurv_first(h1, h0, m, config.young_modulus, kp)
+            closed = density_precurv_first(h1, h0, m, config.young_modulus, kp)
             assert closed == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
     def test_dimensionless_consistency(self, rng):
@@ -141,7 +145,7 @@ class TestDensityPrecurvFirst:
             e = float(rng.uniform(1e4, 1e6))
             kp = float(rng.choice([-1, 1]) * rng.uniform(0.01, 0.3))
             mu = m / (e * h0**3 * kp)
-            direct = gb.density_precurv_first(hbar * h0, h0, m, e, kp)
+            direct = density_precurv_first(hbar * h0, h0, m, e, kp)
             scaled = e * h0**3 * kp**2 * gb.g_value(mu, hbar)
             assert direct == pytest.approx(scaled, rel=1e-10, abs=1e-10 * abs(scaled) + 1e-14)
 
@@ -172,7 +176,7 @@ class TestCaseReductionLattice:
         h = h2.values + rng.uniform(0.0, 0.3, size=8)
         np.testing.assert_allclose(
             density.value(h),
-            gb.density_prestrain(h, 0.3, 20.0, 1.0e5, 0.013),
+            density_prestrain(h, 0.3, 20.0, 1.0e5, 0.013),
             rtol=1e-10)
 
 
@@ -210,7 +214,7 @@ class TestClosedFormOracles:
         k = e * ep * h0**2 + 2.0 * m
         slope = (-9.0 * k**2 / (e * h**4) + e * ep**2
                  + 12.0 * ep * h0 * k / h**3 - 4.0 * e * ep**2 * h0**2 / h**2)
-        self.assert_rel(d.value(h), gb.density_prestrain(h, h0, m, e, ep))
+        self.assert_rel(d.value(h), density_prestrain(h, h0, m, e, ep))
         self.assert_rel(d.derivative(h), slope)
 
     def test_const_precurv_first(self, samples):
@@ -219,7 +223,7 @@ class TestClosedFormOracles:
         q = e * kp * h0**3 + 3.0 * m
         slope = (-4.0 * q**2 / (e * h**4) + e * kp**2 * h**2
                  + 4.0 * h0**2 * kp * q / h**3 - e * h0**4 * kp**2 / h**2)
-        self.assert_rel(d.value(h), gb.density_precurv_first(h, h0, m, e, kp))
+        self.assert_rel(d.value(h), density_precurv_first(h, h0, m, e, kp))
         self.assert_rel(d.derivative(h), slope)
 
     def test_history_only_under_ablation(self, rng, uniform_load):
@@ -325,14 +329,14 @@ class TestDimensionlessF:
     def test_raw_matches_stable(self, rng):
         eta = rng.uniform(-5, 5, size=500)
         hbar = rng.uniform(0.2, 10.0, size=500)
-        np.testing.assert_allclose(gb.f_value(eta, hbar), gb.f_value_raw(eta, hbar),
+        np.testing.assert_allclose(gb.f_value(eta, hbar), f_value_raw(eta, hbar),
                                    rtol=1e-10)
-        np.testing.assert_allclose(gb.f_second(eta, hbar), gb.f_second_raw(eta, hbar),
+        np.testing.assert_allclose(gb.f_second(eta, hbar), f_second_raw(eta, hbar),
                                    rtol=1e-9, atol=1e-12)
 
     def test_sign_structure(self, rng):
         for eta in rng.uniform(-2.0, 2.0, size=40):
-            lo, hi = gb.f_concavity_interval(eta)
+            lo, hi = f_concavity_interval(eta)
             for hbar in rng.uniform(0.05, 8.0, size=40):
                 inside = lo <= hbar <= hi
                 val = gb.f_second(eta, hbar)
@@ -362,9 +366,9 @@ class TestDimensionlessG:
     def test_raw_matches_completed_square(self, rng):
         mu = rng.uniform(-10, 10, size=5000)
         hbar = rng.uniform(1.0, 10.0, size=5000)
-        np.testing.assert_allclose(gb.g_second(mu, hbar), gb.g_second_raw(mu, hbar),
+        np.testing.assert_allclose(gb.g_second(mu, hbar), g_second_raw(mu, hbar),
                                    rtol=1e-10)
-        np.testing.assert_allclose(gb.g_value(mu, hbar), gb.g_value_raw(mu, hbar),
+        np.testing.assert_allclose(gb.g_value(mu, hbar), g_value_raw(mu, hbar),
                                    rtol=1e-10, atol=1e-12)
 
     def test_domain(self):

@@ -241,25 +241,37 @@ class TestFailurePaths:
 
 class TestSectionState:
     def test_incremental_state_matches_replay(self, rng, uniform_load):
-        # ten prestrained deposits carried as (A, R) against the full
-        # history replay through the layer stack
+        # ten prestrained deposits carried as (A, R), and under ablation the
+        # clipped segments too, against the full history replay through the
+        # layer stack; ablating deposits also cut into earlier layers
         config = gb.BeamConfig(20.0, 1.0e5, 64)
-        h = gb.HeightField(rng.uniform(0.1, 0.5, size=64))
-        section = _Section(config, uniform_load, h, ablation=False)
-        stack = gb.LayerStack((h,), ())
-        for _ in range(10):
-            pre = gb.PrestrainPair(float(rng.uniform(-0.05, 0.05)),
-                                   float(rng.uniform(-0.2, 0.2)))
-            problem = section.problem(pre, 0.0, math.inf, gb.MassMode.INEQUALITY)
-            h = gb.HeightField(h.values + rng.uniform(0.0, 0.3, size=64))
-            section.deposit(problem.density, h, pre)
-            stack = gb.LayerStack(stack.heights + (h,), stack.prestrains + (pre,))
-        a, b = prestress_section_integrals(*stack.segments())
-        r = b - section.moment / config.young_modulus
-        np.testing.assert_allclose(section.a, a, rtol=1e-12,
-                                   atol=1e-12 * float(np.max(np.abs(a))))
-        np.testing.assert_allclose(section.r, r, rtol=1e-12,
-                                   atol=1e-12 * float(np.max(np.abs(r))))
+        for ablation, cut in ((False, 0.0), (True, 0.2)):
+            h = gb.HeightField(rng.uniform(0.1, 0.5, size=64))
+            section = _Section(config, uniform_load, h, ablation=ablation)
+            stack = gb.LayerStack((h,), (), ablation=ablation)
+            for _ in range(10):
+                pre = gb.PrestrainPair(float(rng.uniform(-0.05, 0.05)),
+                                       float(rng.uniform(-0.2, 0.2)))
+                problem = section.problem(pre, 0.0, math.inf, gb.MassMode.INEQUALITY)
+                h = gb.HeightField(np.maximum(
+                    h.values + rng.uniform(-cut, 0.3, size=64), 0.01))
+                section.deposit(problem.density, h, pre)
+                stack = gb.LayerStack(stack.heights + (h,), stack.prestrains + (pre,),
+                                      ablation=ablation)
+            segments = stack.segments()
+            if ablation:
+                heights = np.array([f.values for f in stack.heights])
+                assert np.any(np.diff(heights, axis=0) < 0)
+                for carried, replayed in zip(section.history, segments):
+                    np.testing.assert_array_equal(carried, replayed)
+            else:
+                assert section.history is None
+            a, b = prestress_section_integrals(*segments)
+            r = b - section.moment / config.young_modulus
+            np.testing.assert_allclose(section.a, a, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(a))))
+            np.testing.assert_allclose(section.r, r, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(r))))
 
     def test_no_history_off_ablation(self, paper_config, moment_load):
         tr = gb.run_growth(paper_config, moment_load, 0.3,

@@ -60,7 +60,7 @@ def assert_matches_oracle(z, lb, mass, delta, at_most=False, w=None):
     if at_most or w is not None:
         out, _ = _project(z, lb, mass, delta, at_most, 1.0 if w is None else w)
     else:
-        out = gb.project_mass_lb(z, lb, mass, delta)
+        out, _ = _project_shift(z, lb, mass, delta)
     if at_most:
         assert delta * out.sum() <= mass * (1.0 + 1e-12)
     else:
@@ -79,16 +79,16 @@ class TestProjection:
     def test_feasible_point_unchanged(self):
         z = np.array([0.4, 0.5, 0.6])
         lb = np.array([0.3, 0.3, 0.3])
-        out = gb.project_mass_lb(z, lb, 1.5, 1.0)
+        out = _project_shift(z, lb, 1.5, 1.0)[0]
         np.testing.assert_allclose(out, z, atol=1e-15)
 
     def test_reference_instance(self):
-        out = gb.project_mass_lb(np.array([0.5, 0.1]), np.array([0.3, 0.3]), 0.9, 1.0)
+        out = _project_shift(np.array([0.5, 0.1]), np.array([0.3, 0.3]), 0.9, 1.0)[0]
         np.testing.assert_allclose(out, [0.6, 0.3], atol=1e-14)
 
     def test_infeasible_mass(self):
         with pytest.raises(InfeasibleError):
-            gb.project_mass_lb(np.array([0.5, 0.5]), np.array([0.3, 0.3]), 0.5, 1.0)
+            _project_shift(np.array([0.5, 0.5]), np.array([0.3, 0.3]), 0.5, 1.0)
 
     def test_matches_bruteforce(self, rng):
         for _ in range(200):
@@ -97,7 +97,7 @@ class TestProjection:
             z = rng.uniform(-1.0, 2.0, size=n)
             delta = float(rng.uniform(0.2, 2.0))
             mass = delta * (lb.sum() + float(rng.uniform(0.0, 2.0)))
-            ours = gb.project_mass_lb(z, lb, mass, delta)
+            ours = _project_shift(z, lb, mass, delta)[0]
             ref = projection_bruteforce(z, lb, mass, delta)
             np.testing.assert_allclose(ours, ref, atol=1e-9)
             assert abs(delta * ours.sum() - mass) <= 1e-12 * max(1.0, mass)
@@ -107,7 +107,7 @@ class TestProjection:
         z = rng.uniform(0.0, 1.0, size=500)
         lb = np.full(500, 0.2)
         mass = 140.0
-        out = gb.project_mass_lb(z, lb, mass, 0.1)
+        out = _project_shift(z, lb, mass, 0.1)[0]
         assert abs(0.1 * out.sum() - mass) <= 1e-12 * mass
 
     @pytest.mark.parametrize("n", SIZES)
@@ -176,7 +176,7 @@ def test_projection_optimality_property(n, seed):
     lb = rng.uniform(0.0, 1.0, size=n)
     z = rng.uniform(-1.0, 2.0, size=n)
     mass = lb.sum() + float(rng.uniform(0.0, 1.5))
-    h = gb.project_mass_lb(z, lb, mass, 1.0)
+    h = _project_shift(z, lb, mass, 1.0)[0]
     # any random feasible point is no closer to z
     for _ in range(10):
         w = rng.uniform(0.0, 1.0, size=n)
