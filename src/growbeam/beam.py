@@ -11,6 +11,7 @@ on the cross-section height.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,10 @@ class BeamConfig:
     n_cells: int = 200
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise DomainError("length must be positive")
-        if self.young_modulus <= 0:
-            raise DomainError("young_modulus must be positive")
+        if not 0 < self.length < math.inf:
+            raise DomainError("length must be positive and finite")
+        if not 0 < self.young_modulus < math.inf:
+            raise DomainError("young_modulus must be positive and finite")
         if self.n_cells < 1:
             raise DomainError("n_cells must be at least 1")
 

@@ -3,8 +3,9 @@
 Grammar: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Keys are dotted lowercase words; unknown or duplicate
 keys are hard errors with 1-based line/column positions.  ``tau = inf``
-selects the unregularized problem.  Defaults reproduce the reference
-geometry: length 20 dm, initial height 0.3 dm, Young's modulus 1e5 N/dm^2.
+selects the unregularized problem; every other number must be finite.
+Defaults reproduce the reference geometry: length 20 dm, initial height
+0.3 dm, Young's modulus 1e5 N/dm^2.
 """
 
 from __future__ import annotations
@@ -91,13 +92,16 @@ class RunConfig:
 
 
 def _parse_float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_tau(text):
     if text.lower() in ("inf", "infinity", "+inf"):
         return math.inf
-    return float(text)
+    return _parse_float(text)
 
 
 def _parse_int(text):
@@ -116,7 +120,7 @@ def _parse_bool(text):
 
 
 def _parse_float_list(text):
-    return tuple(float(part.strip()) for part in text.split(","))
+    return tuple(_parse_float(part.strip()) for part in text.split(","))
 
 
 def _parse_int_list(text):
@@ -127,7 +131,8 @@ def _parse_str(text):
     return text
 
 
-# key -> (RunConfig field, parser, constraint description or None)
+# key -> (RunConfig field, parser, constraint description, check); the last
+# two are None where every parsed value is valid
 KEYS = {
     "length": ("length", _parse_float, "must be > 0", lambda v: v > 0),
     "height0": ("height0", _parse_float, "must be > 0", lambda v: v > 0),
@@ -135,7 +140,7 @@ KEYS = {
     "n_cells": ("n_cells", _parse_int, "must be >= 1", lambda v: v >= 1),
     "load.kind": ("load_kind", _parse_str, "must be 'uniform' or 'moment'",
                   lambda v: v in ("uniform", "moment")),
-    "load.value": ("load_value", _parse_float, "must be finite", math.isfinite),
+    "load.value": ("load_value", _parse_float, None, None),
     "steps": ("steps", _parse_int, "must be >= 1", lambda v: v >= 1),
     "mass.increment": ("mass_increment", _parse_float, "must be >= 0", lambda v: v >= 0),
     "mass.targets": ("mass_targets", _parse_float_list, "must be nondecreasing",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .beam import BeamConfig, HeightField, _as_values
 from .compliance import ComplianceDensity
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConvergenceError, DomainError, InfeasibleError
 
 
 class MassMode(enum.Enum):
@@ -64,6 +64,8 @@ class StepProblem:
     def __post_init__(self):
         if not (self.tau > 0):
             raise InfeasibleError("tau must be positive (math.inf allowed)")
+        if not math.isfinite(self.mass_target):
+            raise DomainError(f"mass target must be finite (got {self.mass_target})")
         lb_mass = self.config.delta * float(np.sum(self.lower_bound.values))
         if self.mass_mode is MassMode.EQUALITY:
             if self.mass_target < lb_mass - 1e-9 * max(1.0, abs(self.mass_target)):
@@ -75,27 +77,33 @@ class StepProblem:
 class StepSolution:
     h: HeightField
     lam: float
-    mu: np.ndarray
     objective: float
     kkt_residual: float
     iterations: int
-    objective_history: np.ndarray
     degenerate: bool = False
 
 
-def _project_shift(z, lb, mass, delta, w=1.0):
-    """Projection onto {delta * sum h = mass, h >= lb} in the metric
+def _project_shift(z, lb, mass, delta, w=1.0, at_most=False):
+    """Projection onto {delta * sum h = mass, h >= lb}, or onto
+    {delta * sum h <= mass, h >= lb} if ``at_most``, in the metric
     sum (h - z)^2 / w, w > 0 (Euclidean for a scalar w).
 
     Returns (h, t) with h_j = max(lb_j, z_j - t w_j), exact up to rounding.
-    Michelot's active-set iteration (Condat, Math. Prog. 2016, Sec. 3) on
-    the breakpoints y = z - lb: start from the shift that spreads the excess
-    mass over every cell, then keep the cells with y > t w and recompute
+    Under an at-most budget t >= 0 is zero unless the budget binds, so the
+    result is max(lb, z) with t = 0 when that point fits the budget, and the
+    equality projection otherwise.  The latter is Michelot's active-set
+    iteration (Condat, Math. Prog. 2016, Sec. 3) on the breakpoints
+    y = z - lb: start from the shift that spreads the excess mass over every
+    cell, then keep the cells with y > t w and recompute
     t = (sum y - excess) / sum w on them until no cell drops out.  The shift
     only grows and a dropped cell stays dropped, so it ends in N passes.
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
+    if at_most:
+        h = np.maximum(lb, z)
+        if delta * float(np.sum(h)) <= mass:
+            return h, 0.0
     target = mass / delta
     base = float(np.sum(lb))
     if target < base - 1e-9 * max(1.0, abs(target)):
@@ -121,17 +129,12 @@ def _project_shift(z, lb, mass, delta, w=1.0):
     return np.maximum(lb, z - t * w), t
 
 
-def _project(z, lb, mass, delta, at_most, w=1.0):
-    """(h, t) of the projection in the metric sum (h - z)^2 / w onto
-    {delta * sum h = mass, h >= lb}, or onto {delta * sum h <= mass, h >= lb}
-    if ``at_most``.  By the latter's KKT conditions (t >= 0, zero unless the
-    budget binds) that is max(lb, z) with t = 0 when this point fits the
-    budget, and the equality projection otherwise."""
-    if at_most:
-        h = np.maximum(lb, z)
-        if delta * float(np.sum(h)) <= mass:
-            return h, 0.0
-    return _project_shift(z, lb, mass, delta, w)
+def _gradient(problem: StepProblem, h):
+    """q = c'(h) + (h - hprev)/tau; the proximal term drops out for tau = inf."""
+    q = np.asarray(problem.density.derivative(h), dtype=float)
+    if not math.isinf(problem.tau):
+        q += (h - problem.h_prev.values) / problem.tau
+    return q
 
 
 def _stationarity(q, h, lb, lam):
@@ -152,10 +155,7 @@ def kkt_residual(problem: StepProblem, h, lam: float) -> float:
     the no-prestrain problem.
     """
     hv = _as_values(h, problem.config.n_cells)
-    q = np.asarray(problem.density.derivative(hv), dtype=float)
-    if not math.isinf(problem.tau):
-        q += (hv - problem.h_prev.values) / problem.tau
-    return _stationarity(q, hv, problem.lower_bound.values, lam)
+    return _stationarity(_gradient(problem, hv), hv, problem.lower_bound.values, lam)
 
 
 def minimize_step(problem: StepProblem, options: SolverOptions | None = None) -> StepSolution:
@@ -167,12 +167,13 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     decrease is below the objective's noise floor is taken; a shorter one
     that still fails the test raises ``ConvergenceError`` at once, and so
     does such a full step when the residual after it does not fall below
-    the one before it.  The mass multiplier is estimated from the free
-    cells; in inequality mode it is 0 while the budget is slack and clipped
-    at 0 when it binds.  A singleton feasible set (budget = lower-bound
-    mass) takes it from the projection dual and flags the step degenerate.
-    Nonconvex densities carry stationarity-only semantics; ``kkt_residual``
-    is the certificate.
+    the one before it.  The mass multiplier is the mean of -q over the free
+    cells, or -min q when none is free; in inequality mode it is 0 while the
+    budget is slack and clipped at 0 when it binds.  A singleton feasible set
+    (budget = lower-bound mass) starts at lb and stops there at once, flagged
+    degenerate.  A start point with a non-finite objective or gradient
+    raises ``DomainError``.  Nonconvex densities carry stationarity-only
+    semantics; ``kkt_residual`` is the certificate.
     """
     options = options or SolverOptions()
     density = problem.density
@@ -181,46 +182,35 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     h_prev = problem.h_prev.values
     lb = problem.lower_bound.values
     tau = problem.tau
-    prox_on = not math.isinf(tau)
     at_most = problem.mass_mode is MassMode.INEQUALITY
 
     def projection(z, w=1.0):
-        return _project(z, lb, mass, delta, at_most, w)
+        return _project_shift(z, lb, mass, delta, w, at_most)
 
     def objective(h):
         val = float(np.sum(density.value(h)))
-        if prox_on:
+        if not math.isinf(tau):
             val += 0.5 / tau * float(np.sum((h - h_prev) ** 2))
         return delta * val
 
-    def density_grad(h):
-        q = np.asarray(density.derivative(h), dtype=float)
-        if prox_on:
-            q += (h - h_prev) / tau
-        return q
-
-    # Singleton feasible set: the mass budget equals the lower-bound mass, so
-    # the only feasible point is lb itself.  Report the projection-dual
-    # multiplier (unit step) and flag the step as degenerate.
-    slack = mass / delta - float(np.sum(lb))
-    if slack <= max(lb.size * TOL_ACTIVE,
-                    options.tol_mass * max(1.0, abs(mass)) / delta):
-        h = lb.copy()
-        q = density_grad(h)
-        _, shift = projection(h - delta * q)
-        lam = shift / delta
-        return _pack_solution(problem, h, q, lam, 0.0, 0, [objective(h)], True)
-
     def not_converged(why=""):   # at the current iterate
-        sol = _pack_solution(problem, h, q, lam, r_stat, it, history, False)
+        best = StepSolution(HeightField(h), float(lam), obj, r_stat, it, degenerate)
         return ConvergenceError(
             f"projected Newton did not reach tol_kkt={options.tol_kkt} "
-            f"in {it} iterations (residual {r_stat:.3e}){why}", best=sol)
+            f"in {it} iterations (residual {r_stat:.3e}){why}", best=best)
 
-    h, shift = projection(np.maximum(h_prev, lb))
-    q = density_grad(h)
+    # Singleton feasible set: the mass budget equals the lower-bound mass, so
+    # the only feasible point is lb itself.
+    slack = mass / delta - float(np.sum(lb))
+    degenerate = slack <= max(lb.size * TOL_ACTIVE,
+                              options.tol_mass * max(1.0, abs(mass)) / delta)
+    h, shift = (lb, 0.0) if degenerate else projection(np.maximum(h_prev, lb))
+    q = _gradient(problem, h)
     obj = objective(h)
-    history = [obj]
+    if not (math.isfinite(obj) and np.all(np.isfinite(q))):
+        raise DomainError("step objective or gradient not finite at the start point")
+    if degenerate and at_most:   # the budget binds if a unit step from lb leaves it
+        _, shift = projection(h - delta * q)
     floor_step = False
 
     for it in range(options.max_iter + 1):
@@ -231,7 +221,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         r_stat = _stationarity(q, h, lb, lam)
         r_dual = -float(np.min(q[~free] + lam, initial=0.0))
         if r_stat <= options.tol_kkt and r_dual <= options.tol_kkt:
-            return _pack_solution(problem, h, q, lam, r_stat, it, history, False)
+            return StepSolution(HeightField(h), float(lam), obj, r_stat, it, degenerate)
         if it == options.max_iter:
             raise not_converged()
         if floor_step and r_stat >= r_prev:
@@ -258,27 +248,4 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
 
         h, shift, obj = h_new, shift_new, obj_new
         floor_step, r_prev = -g_dot_d <= noise, r_stat
-        q = density_grad(h)
-        history.append(obj)
-
-
-
-def _pack_solution(problem, h, q, lam, r_stat, iterations, history, degenerate):
-    lb = problem.lower_bound.values
-    active = ~(h > lb + 1e-15)
-    mu = np.zeros_like(h)
-    mu[active] = np.maximum(q[active] + lam, 0.0)
-    prox = 0.0
-    if not math.isinf(problem.tau):
-        prox = (problem.config.delta * 0.5 / problem.tau
-                * float(np.sum((h - problem.h_prev.values) ** 2)))
-    return StepSolution(
-        h=HeightField(h.copy()),
-        lam=float(lam),
-        mu=mu,
-        objective=problem.config.delta * float(np.sum(problem.density.value(h))) + prox,
-        kkt_residual=r_stat,
-        iterations=iterations,
-        objective_history=np.asarray(history),
-        degenerate=degenerate,
-    )
+        q = _gradient(problem, h)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,13 @@ def section_balance_residuals(state, stack, config, load):
     scale = config.young_modulus * h * np.maximum(np.abs(state.eps),
                                                   np.abs(state.kappa) * h) + 1e-30
     return np.abs(res_f) / scale, np.abs(res_m) / (scale * h)
+
+
+@pytest.mark.parametrize("length, young_modulus", [
+    (math.inf, 1.0e5), (math.nan, 1.0e5), (20.0, math.inf), (20.0, math.nan)])
+def test_config_needs_finite_length_and_modulus(length, young_modulus):
+    with pytest.raises(DomainError):
+        gb.BeamConfig(length=length, young_modulus=young_modulus, n_cells=10)
 
 
 class TestBendingMoment:

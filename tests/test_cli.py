@@ -77,6 +77,15 @@ class TestRun:
         rows = (out / "profile.csv").read_text().splitlines()[1:]
         assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("load", ["uniform\nload.value = 1e200",
+                                      "moment\nload.value = 1e160"])
+    def test_overflowing_load_exit_code(self, cfg_file, tmp_path, capsys, load):
+        code = main(["run", cfg_file(f"load.kind = {load}\nsteps = 2\nn_cells = 20\n"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.cfg")])
         assert code == 4

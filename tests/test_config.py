@@ -65,6 +65,20 @@ class TestParse:
         assert err.value.line == 1
         assert "invalid value" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("length", "inf"), ("young_modulus", "inf"), ("height0", "inf"),
+        ("load.value", "nan"), ("mass.targets", "6.5, nan"),
+        ("mass.targets", "6.5, inf"), ("prestrain.eps", "-inf"),
+        ("tau", "nan"), ("solver.tol_kkt", "1e999")])
+    def test_non_finite_value_rejected_with_position(self, key, value):
+        text = "load.kind = uniform\nsteps = 2\n" + f"{key} = {value}\n"
+        if key != "mass.targets":
+            text += "mass.increment = 0.6\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert (err.value.line, err.value.column) == (3, len(key) + 4)
+        assert "not a finite number" in str(err.value)
+
     def test_missing_value(self):
         with pytest.raises(ConfigError):
             parse_config("steps =\n")

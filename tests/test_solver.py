@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import growbeam as gb
 from growbeam.compliance import ComplianceDensity
-from growbeam.errors import ConvergenceError, InfeasibleError
-from growbeam.solver import _project, _project_shift
+from growbeam.errors import ConvergenceError, DomainError, InfeasibleError
+from growbeam.solver import TOL_ACTIVE, _project_shift
 
 
 def projection_bruteforce(z, lb, mass, delta):
@@ -58,7 +58,7 @@ def projection_sorted(z, lb, mass, delta, at_most=False, w=1.0):
 
 def assert_matches_oracle(z, lb, mass, delta, at_most=False, w=None):
     if at_most or w is not None:
-        out, _ = _project(z, lb, mass, delta, at_most, 1.0 if w is None else w)
+        out, _ = _project_shift(z, lb, mass, delta, 1.0 if w is None else w, at_most)
     else:
         out, _ = _project_shift(z, lb, mass, delta)
     if at_most:
@@ -242,17 +242,30 @@ class TestMinimizeStep:
 
     def test_feasibility_and_complementarity(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        sol = gb.minimize_step(baseline_problem(paper_config, uniform_load, h0, 7.5))
+        problem = baseline_problem(paper_config, uniform_load, h0, 7.5)
+        sol = gb.minimize_step(problem)
         assert abs(sol.h.mass(paper_config) - 7.5) <= 1e-10 * 7.5
         assert np.all(sol.h.values >= h0.values - 1e-12)
-        assert np.all(sol.mu >= 0.0)
-        comp = np.abs(sol.mu * (sol.h.values - h0.values))
-        assert np.max(comp) <= 1e-8
+        # the bound multiplier mu = c'(h) + lam of a pinned cell is >= 0: it
+        # would not gain by growing
+        pinned = ~(sol.h.values > h0.values + TOL_ACTIVE)
+        assert np.any(pinned)
+        grad = problem.density.derivative(sol.h.values)
+        assert np.all(grad[pinned] + sol.lam >= -1e-8)
 
     def test_monotone_descent(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        sol = gb.minimize_step(baseline_problem(paper_config, uniform_load, h0, 7.5))
-        hist = sol.objective_history
+        problem = baseline_problem(paper_config, uniform_load, h0, 7.5)
+        converged = gb.minimize_step(problem)
+        assert converged.iterations >= 3
+        # the objective after k iterations is the best iterate of a run
+        # capped at max_iter = k
+        hist = []
+        for k in range(1, converged.iterations):
+            with pytest.raises(ConvergenceError) as err:
+                gb.minimize_step(problem, gb.SolverOptions(max_iter=k))
+            hist.append(err.value.best.objective)
+        hist = np.array(hist + [converged.objective])
         tol = 16 * np.finfo(float).eps * np.maximum(1.0, np.abs(hist[:-1]))
         assert np.all(np.diff(hist) <= tol)
 
@@ -262,6 +275,29 @@ class TestMinimizeStep:
         np.testing.assert_array_equal(sol.h.values, h0.values)
         assert sol.degenerate
         assert sol.kkt_residual == 0.0
+
+    def test_degenerate_at_most_budget(self, paper_config, uniform_load, moment_load):
+        # material helps under a uniform load: the budget binds at h0 and
+        # lam is the largest marginal gain
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        problem = baseline_problem(paper_config, uniform_load, h0, 6.0,
+                                   mode=gb.MassMode.INEQUALITY)
+        sol = gb.minimize_step(problem)
+        assert sol.degenerate
+        np.testing.assert_array_equal(sol.h.values, h0.values)
+        lam = -float(np.min(problem.density.derivative(h0.values)))
+        assert lam > 0.0
+        assert abs(sol.lam - lam) <= np.spacing(lam)
+        # a negative prestrain under a constant moment makes material
+        # harmful: the budget stays slack and lam = 0
+        m = gb.bending_moment(moment_load, paper_config, paper_config.x_centers)
+        density = ComplianceDensity.const_prestrain(1.0e5, m, h0.values, -0.01)
+        problem = gb.StepProblem(density=density, h_prev=h0, mass_target=6.0,
+                                 tau=0.01, mass_mode=gb.MassMode.INEQUALITY,
+                                 lower_bound=h0, config=paper_config)
+        sol = gb.minimize_step(problem)
+        assert sol.degenerate
+        assert sol.lam == 0.0
 
     def test_convergence_error_carries_best(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
@@ -360,6 +396,12 @@ class TestStepProblemValidation:
         h0 = gb.HeightField.constant(paper_config, 0.3)
         with pytest.raises(InfeasibleError):
             baseline_problem(paper_config, uniform_load, h0, 5.0)
+
+    @pytest.mark.parametrize("mass", [math.inf, math.nan])
+    def test_non_finite_mass_target(self, paper_config, uniform_load, mass):
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        with pytest.raises(DomainError):
+            baseline_problem(paper_config, uniform_load, h0, mass)
 
     def test_nonpositive_tau(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)

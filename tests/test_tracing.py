@@ -40,8 +40,8 @@ def test_every_patch_site_resolves(spans, ablation):
         # optional only to the benchmark: a rename must not drop its metrics silently
         assert "solver.projection" not in patched.missing
         metrics = spans.layer_metrics(recorder.spans, patched.missing)
-        # an at-most budget needs the mass projection only where it binds
-        # (here with ablation; without it the proximal term keeps lam = 0)
+        # both budget modes project through _project_shift, so every step
+        # that is not degenerate counts at least its start projection
         if mode is gb.MassMode.EQUALITY or any(r.lam > 0.0 for r in trace.records):
             assert metrics["solver.projection_calls"] > 0
         assert metrics["solver.iterations_per_step"] > 0
