@@ -153,10 +153,6 @@ class LayerStack:
         object.__setattr__(self, "prestrains", prestrains)
 
     @property
-    def n_layers(self) -> int:
-        return len(self.prestrains)
-
-    @property
     def top(self) -> HeightField:
         return self.heights[-1]
 
@@ -169,22 +165,34 @@ class LayerStack:
         or was later ablated.
         """
         hs = [h.values for h in self.heights]
-        n = hs[0].size
-        k = len(hs)
-        y_lo = np.zeros((k, n))
-        y_hi = np.zeros((k, n))
-        y_hi[0] = hs[0]
-        top = hs[0]
-        for i in range(1, k):
-            h = hs[i]
-            np.minimum(y_lo[:i], h, out=y_lo[:i])
-            np.minimum(y_hi[:i], h, out=y_hi[:i])
-            y_lo[i] = np.minimum(top, h)
-            y_hi[i] = h
-            top = h
-        eps = np.array([0.0] + [p.eps_p for p in self.prestrains])
-        kap = np.array([0.0] + [p.kappa_p for p in self.prestrains])
-        return y_lo, y_hi, eps, kap
+        segments = _deposit(None, 0.0, hs[0], PrestrainPair())
+        for top, h, pre in zip(hs, hs[1:], self.prestrains):
+            segments = _deposit(segments, top, h, pre)
+        return segments
+
+
+def _deposit(segments, top, h, pre: PrestrainPair):
+    """Material segments (y_lo, y_hi, eps_p, kappa_p) after a layer with
+    prestrain ``pre`` takes the section from ``top`` to ``h``: each row is
+    clipped at h and the row (min(top, h), h] appended.  From None with
+    top = 0 it starts the original material."""
+    y_lo, y_hi, eps_p, kappa_p = segments or (np.empty((0, h.size)),) * 2 + (np.empty(0),) * 2
+    return (np.vstack((np.minimum(y_lo, h), np.minimum(top, h))),
+            np.vstack((np.minimum(y_hi, h), h)),
+            np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
+
+
+def _trim(segments, h, cells):
+    """The integrals (A, B) of the segments of ``cells`` cut at h, and the
+    prestrain pair of the layer that owns the surface there: the topmost
+    segment (y_lo, y_hi] that holds h."""
+    y_lo, y_hi, eps_p, kappa_p = segments
+    y_lo, y_hi = y_lo[:, cells], y_hi[:, cells]
+    a, b = prestress_section_integrals(np.minimum(y_lo, h), np.minimum(y_hi, h),
+                                       eps_p, kappa_p)
+    inside = (h > y_lo) & (h <= y_hi)
+    row = inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
+    return a, b, eps_p[row], kappa_p[row]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -65,8 +66,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_analytic(args) -> int:
     rc = _load_config(args.config)
-    if any(p.eps_p or p.kappa_p for p in rc.prestrains()):
-        raise ConfigError("the analytic solution requires zero prestrain")
+    if rc.tau != math.inf or rc.ablation or any(p.eps_p or p.kappa_p for p in rc.prestrains()):
+        raise ConfigError("the analytic solution requires zero prestrain, tau = inf "
+                          "and ablation = false")
     config = rc.beam_config()
     load = rc.load_case()
     out_dir = rc.resolve_output_dir(args.output_dir)
@@ -74,22 +76,22 @@ def _cmd_analytic(args) -> int:
     m0 = h0.mass(config)
     targets = rc.schedule().targets(m0, rc.steps)
     m_centers = bending_moment(load, config, config.x_centers)
+    with np.errstate(all="ignore"):
+        c0 = config.delta * float(np.sum(density_baseline(h0.values, m_centers,
+                                                          config.young_modulus)))
+    if not math.isfinite(c0):
+        raise DomainError(f"load {load.value:g} overflows: initial compliance not finite")
 
     trace = GrowthTrace(config=config, load=load, tau=rc.tau, mass_mode=rc.mode(),
-                        ablation=False, h0=h0, initial_mass=m0,
-                        initial_compliance=config.delta * float(np.sum(
-                            density_baseline(h0.values, m_centers,
-                                             config.young_modulus))))
+                        ablation=False, h0=h0, initial_mass=m0, initial_compliance=c0)
     analytic_rows = []
     h_prev = h0
     for i, m_i in enumerate(targets, start=1):
         sol = solve_baseline_step(config, load, h_prev, float(m_i))
         h = sol.h.values
-        stat = 0.0
-        if np.any(sol.growth_set):
-            stat = float(np.max(np.abs(36.0 * m_centers[sol.growth_set] ** 2
-                                       / (config.young_modulus * h[sol.growth_set] ** 4)
-                                       - sol.lam)))
+        grown = sol.growth_set
+        stat = float(np.max(np.abs(36.0 * m_centers[grown] ** 2 / (
+            config.young_modulus * h[grown] ** 4) - sol.lam), initial=0.0))
         x_hat = None
         if i == 1 and load.kind is LoadKind.UNIFORM and np.ptp(h0.values) == 0.0:
             try:

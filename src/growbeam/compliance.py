@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beam import (BeamConfig, EquilibriumState, LayerStack, LoadCase,
-                   PrestrainPair, _as_values, bending_moment,
+                   PrestrainPair, _as_values, _trim, bending_moment,
                    prestress_section_integrals)
 from .errors import DomainError
 
@@ -85,8 +85,8 @@ class ComplianceDensity:
 
     whose coefficients are computed once.  Without ablation it is the
     density at every h > 0.  With ablation ``history`` holds the material
-    segments (y_lo, y_hi, eps_p[], kappa_p[]) and cells cut below h_prev use
-    the trimmed history; ``history`` is None otherwise.  Every argument
+    segments of ``beam._deposit`` and cells cut below h_prev use the history
+    trimmed by ``beam._trim``; ``history`` is None otherwise.  Every argument
     broadcasts against the candidate heights.
     """
 
@@ -231,16 +231,10 @@ class ComplianceDensity:
     def _trimmed(self, h, below):
         """A, R, e^p(h) and de^p/dh of the cells in ``below``, from the history
         trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h))."""
-        y_lo, y_hi, eps_hist, kap_hist = self.history
         hb = h[below]
-        lo = np.minimum(y_lo[:, below], hb)
-        hi = np.minimum(y_hi[:, below], hb)
-        a, b = prestress_section_integrals(lo, hi, eps_hist, kap_hist)
+        a, b, eps_p, kappa_p = _trim(self.history, hb, below)
         r = b - _masked(self.moment, below) / _masked(self.young_modulus, below)
-        # the topmost segment (y_lo, y_hi] holding the surface owns it
-        inside = (hb > y_lo[:, below]) & (hb <= y_hi[:, below])
-        row = inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
-        return a, r, eps_hist[row] + hb * kap_hist[row], kap_hist[row]
+        return a, r, eps_p + hb * kappa_p, kappa_p
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beam import (BeamConfig, EquilibriumState, HeightField, LoadCase,
-                   PrestrainPair, _as_values, bending_moment, solve_section)
+                   PrestrainPair, _as_values, _deposit, bending_moment,
+                   solve_section)
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
@@ -116,10 +117,8 @@ class _Section:
 
     Each step adds one layer, so the state advances in O(N) per step.  Only
     ablation, which may cut into earlier layers, also keeps the history the
-    density trims: the material segments (y_lo, y_hi), one row per layer and
-    row 0 the original material, with each layer's prestrain pair.  A
-    deposit clips every row at the new top and appends the new layer's row,
-    which is what ``LayerStack.segments`` computes by replaying the stack.
+    density trims: the material segments of ``beam._deposit``, one row per
+    layer, which ``LayerStack.segments`` builds by the same deposits.
     """
 
     def __init__(self, config: BeamConfig, load: LoadCase, h0: HeightField,
@@ -129,8 +128,7 @@ class _Section:
         self.top = h0
         self.a = np.zeros(config.n_cells)
         self.r = -self.moment / config.young_modulus
-        self.history = ((np.zeros((1, h0.values.size)), h0.values[None, :],
-                         np.zeros(1), np.zeros(1)) if ablation else None)
+        self.history = _deposit(None, 0.0, h0.values, PrestrainPair()) if ablation else None
         self.floor = HeightField(ABLATION_FLOOR_FRACTION * h0.values) if ablation else None
 
     def problem(self, pre: PrestrainPair, mass_target: float, tau: float,
@@ -147,11 +145,7 @@ class _Section:
     def deposit(self, density: ComplianceDensity, h: HeightField, pre: PrestrainPair):
         self.a, self.r = density.section_integrals(h.values)
         if self.history is not None:
-            y_lo, y_hi, eps_p, kappa_p = self.history
-            top, hv = self.top.values, h.values
-            self.history = (np.vstack((np.minimum(y_lo, hv), np.minimum(top, hv))),
-                            np.vstack((np.minimum(y_hi, hv), hv)),
-                            np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
+            self.history = _deposit(self.history, self.top.values, h.values, pre)
         self.top = h
 
     def equilibrium(self) -> EquilibriumState:
@@ -184,10 +178,13 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
         raise DomainError("first mass target below the initial mass")
 
     section = _Section(config, load, h0, ablation)
+    with np.errstate(all="ignore"):
+        c0 = compliance_total(section.equilibrium(), h0, config)
+    if not math.isfinite(c0):
+        raise DomainError(f"load {load.value:g} overflows: initial compliance not finite")
     trace = GrowthTrace(config=config, load=load, tau=tau, mass_mode=mass_mode,
                         ablation=ablation, h0=h0, initial_mass=m0,
-                        initial_compliance=compliance_total(section.equilibrium(),
-                                                            h0, config))
+                        initial_compliance=c0)
 
     for i, (m_i, pre) in enumerate(zip(targets, prestrains), start=1):
         problem = section.problem(pre, m_i, tau, mass_mode)

@@ -44,7 +44,7 @@ BACKTRACK = 0.5          # step shrink factor per backtrack
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol_kkt: float = 1e-8        # stationarity residual, density-gradient scale
+    tol_kkt: float = 1e-8        # first-order KKT residual, density-gradient scale
     tol_mass: float = 1e-10      # mass feasibility, relative to the target
     max_iter: int = 10_000
 
@@ -137,29 +137,29 @@ def _gradient(problem: StepProblem, h):
     return q
 
 
-def _stationarity(q, h, lb, lam):
-    """Max stationarity defect |c' + prox' + lam| over cells above the bound."""
-    free = h > lb + TOL_ACTIVE
-    if not np.any(free):
-        return 0.0
-    return float(np.max(np.abs(q[free] + lam)))
+def _defect(q, free, lam):
+    """``kkt_residual`` from the gradient q and the mask of the free cells."""
+    g = q + lam
+    return max(float(np.max(np.abs(g[free]), initial=0.0)),
+               max(0.0, -float(np.min(g[~free], initial=0.0))))
 
 
 def kkt_residual(problem: StepProblem, h, lam: float) -> float:
-    """Discrete stationarity residual of a candidate solution.
-
-    Evaluates max_j |c'(h_j) + (h_j - hprev_j)/tau + lam| over the cells with
-    h_j > lb_j + TOL_ACTIVE; the proximal term drops out for tau = inf.  The
-    max over an empty growth set is 0 by convention.  ``lam`` is the mass
-    multiplier normalized so that lam = 36 M^2/(E h^4) on the growth set of
-    the no-prestrain problem.
+    """First-order KKT residual of a candidate solution: the larger of
+    max |q + lam| over the free cells h_j > lb_j + TOL_ACTIVE and
+    max(0, -(q + lam)) over the others (a max over no cell is 0), with
+    q = c'(h) + (h - hprev)/tau (no proximal term for tau = inf).  ``lam``
+    is the mass multiplier, 36 M^2/(E h^4) on the growth set of the
+    no-prestrain problem.
     """
     hv = _as_values(h, problem.config.n_cells)
-    return _stationarity(_gradient(problem, hv), hv, problem.lower_bound.values, lam)
+    return _defect(_gradient(problem, hv), hv > problem.lower_bound.values + TOL_ACTIVE, lam)
 
 
 def minimize_step(problem: StepProblem, options: SolverOptions | None = None) -> StepSolution:
-    """Solve one incremental step to stationarity by projected Newton.
+    """Solve one incremental step to a first-order KKT point by projected
+    Newton: it stops once the ``kkt_residual`` of the iterate is at most
+    ``tol_kkt``.
 
     Each iteration projects z = h - q w, with q = c' + (h - hprev)/tau and
     w = 1/|c'' + 1/tau|, in the metric sum (h - z)^2 / w and backtracks
@@ -172,8 +172,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     budget is slack and clipped at 0 when it binds.  A singleton feasible set
     (budget = lower-bound mass) starts at lb and stops there at once, flagged
     degenerate.  A start point with a non-finite objective or gradient
-    raises ``DomainError``.  Nonconvex densities carry stationarity-only
-    semantics; ``kkt_residual`` is the certificate.
+    raises ``DomainError``.  On nonconvex densities the certificate is
+    first-order only.
     """
     options = options or SolverOptions()
     density = problem.density
@@ -194,10 +194,10 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         return delta * val
 
     def not_converged(why=""):   # at the current iterate
-        best = StepSolution(HeightField(h), float(lam), obj, r_stat, it, degenerate)
+        best = StepSolution(HeightField(h), float(lam), obj, res, it, degenerate)
         return ConvergenceError(
             f"projected Newton did not reach tol_kkt={options.tol_kkt} "
-            f"in {it} iterations (residual {r_stat:.3e}){why}", best=best)
+            f"in {it} iterations (residual {res:.3e}){why}", best=best)
 
     # Singleton feasible set: the mass budget equals the lower-bound mass, so
     # the only feasible point is lb itself.
@@ -218,13 +218,12 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         lam = -float(np.mean(q[free])) if np.any(free) else -float(np.min(q))
         if at_most:
             lam = max(lam, 0.0) if shift > 0.0 else 0.0
-        r_stat = _stationarity(q, h, lb, lam)
-        r_dual = -float(np.min(q[~free] + lam, initial=0.0))
-        if r_stat <= options.tol_kkt and r_dual <= options.tol_kkt:
-            return StepSolution(HeightField(h), float(lam), obj, r_stat, it, degenerate)
+        res = _defect(q, free, lam)
+        if res <= options.tol_kkt:
+            return StepSolution(HeightField(h), float(lam), obj, res, it, degenerate)
         if it == options.max_iter:
             raise not_converged()
-        if floor_step and r_stat >= r_prev:
+        if floor_step and res >= r_prev:
             raise not_converged("; the full step's decrease was at rounding level "
                                 "and the residual did not fall")
 
@@ -247,5 +246,5 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             alpha *= BACKTRACK
 
         h, shift, obj = h_new, shift_new, obj_new
-        floor_step, r_prev = -g_dot_d <= noise, r_stat
+        floor_step, r_prev = -g_dot_d <= noise, res
         q = _gradient(problem, h)

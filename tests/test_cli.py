@@ -1,11 +1,16 @@
 import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import growbeam as gb
+from growbeam import cli
 from growbeam.cli import main
+from tests.output_digest import digest, subcommand
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 RUN_CFG = """\
 load.kind = uniform
@@ -15,6 +20,9 @@ mass.increment = 0.6
 n_cells = 60
 plot.steps = 0, 5
 """
+
+# the step objective overflows binary64 under these loads
+OVERFLOWING_LOADS = ["uniform\nload.value = 1e200", "moment\nload.value = 1e160"]
 
 CONVEXITY_CFG = """\
 load.kind = moment
@@ -77,14 +85,30 @@ class TestRun:
         rows = (out / "profile.csv").read_text().splitlines()[1:]
         assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 1]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("load", ["uniform\nload.value = 1e200",
-                                      "moment\nload.value = 1e160"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("load", OVERFLOWING_LOADS)
     def test_overflowing_load_exit_code(self, cfg_file, tmp_path, capsys, load):
         code = main(["run", cfg_file(f"load.kind = {load}\nsteps = 2\nn_cells = 20\n"),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "not finite" in capsys.readouterr().err
+        assert "error: load 1e+" in capsys.readouterr().err
+
+    def test_per_step_prestrain_lists(self, cfg_file, tmp_path, monkeypatch):
+        traces = []
+
+        def recording(*args, **kwargs):
+            traces.append(gb.run_growth(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run_growth", recording)
+        cfg = cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 3\n"
+                       "mass.increment = 0.6\nn_cells = 60\n"
+                       "prestrain.eps = 0.01, 0.0, -0.01\n"
+                       "prestrain.kappa = 0.0, 0.02, 0.0\n")
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+        assert traces[0].prestrains == [gb.PrestrainPair(0.01, 0.0),
+                                        gb.PrestrainPair(0.0, 0.02),
+                                        gb.PrestrainPair(-0.01, 0.0)]
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.cfg")])
@@ -122,6 +146,43 @@ class TestAnalytic:
         code = main(["analytic", cfg_file(RUN_CFG + "prestrain.eps = 0.01\n"),
                      "--output-dir", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["tau = 0.01", "ablation = true"])
+    def test_rejects_other_problems(self, cfg_file, tmp_path, capsys, line):
+        # the closed form solves the tau = inf problem without ablation
+        code = main(["analytic", cfg_file(RUN_CFG + line + "\n"),
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "tau = inf and ablation = false" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_inequality_mode_is_the_equality_solution(self, cfg_file, tmp_path):
+        # with no prestrain c' < 0 on every loaded cell, so the budget binds
+        for mode in ("equality", "inequality"):
+            assert main(["analytic", cfg_file(RUN_CFG + f"mass.mode = {mode}\n"),
+                         "--output-dir", str(tmp_path / mode), "--quiet"]) == 0
+        for name in ("analytic.json", "profile.csv"):
+            assert ((tmp_path / "equality" / name).read_bytes()
+                    == (tmp_path / "inequality" / name).read_bytes()), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("load", OVERFLOWING_LOADS)
+    def test_overflowing_load_exit_code(self, cfg_file, tmp_path, capsys, load):
+        code = main(["analytic", cfg_file(f"load.kind = {load}\nsteps = 2\nn_cells = 20\n"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: load 1e+" in capsys.readouterr().err
+
+    def test_zero_increment(self, cfg_file, tmp_path):
+        # m_1 = m0: no cell grows, there is no x_hat, and lambda is the
+        # largest marginal gain 36 M^2/(E h0^4) at the first cell
+        out = tmp_path / "ana"
+        cfg = cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 1\n"
+                       "mass.targets = 6.0\n")
+        assert main(["analytic", cfg, "--output-dir", str(out), "--quiet"]) == 0
+        step = json.loads((out / "analytic.json").read_text())["steps"][0]
+        assert step["x_hat"] is None
+        assert step["lambda"] == pytest.approx(0.7040266, rel=1e-7)
 
 
 class TestConvexity:
@@ -204,6 +265,20 @@ class TestPlot:
         for name in ("profile_step_0.svg", "profile_step_2.svg"):
             assert (plots / name).read_bytes() == (out / name).read_bytes(), name
             assert (out / name).stat().st_size < 200_000, name
+
+
+def test_output_digest_of_one_config(tmp_path):
+    sums = digest([CONFIGS / "baseline.cfg"], tmp_path)
+    svgs = [f"profile_step_{k}.svg" for k in (0, 5, 10)]
+    assert sorted(sums) == sorted(["baseline/profile.csv", "baseline/summary.json"]
+                                  + [f"baseline/{n}" for n in svgs]
+                                  + [f"baseline/replot/{n}" for n in svgs])
+    assert all(len(v) == 64 for v in sums.values())
+    # the replot writes the run's bytes
+    for name in svgs:
+        assert sums[f"baseline/{name}"] == sums[f"baseline/replot/{name}"]
+    assert subcommand("analytic_first_step") == "analytic"
+    assert subcommand("convexity_minus") == "convexity"
 
 
 def test_package_exports_no_modules_and_no_test_oracles():

@@ -148,6 +148,19 @@ class TestWriteTrace:
         paths = write_trace(small_trace, str(tmp_path))
         assert all(os.path.exists(p) for p in paths)
 
+    def test_failed_write_leaves_no_temporary_and_keeps_the_target(self, tmp_path):
+        target = tmp_path / "profile.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield b"new "
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            output._write_atomic(str(target), chunks())
+        assert sorted(os.listdir(tmp_path)) == ["profile.csv"]
+        assert target.read_bytes() == b"old bytes\n"
+
     @pytest.mark.parametrize("n_cells, length, n_steps, block", [
         pytest.param(1, 20.0, 5, None, id="1-20.0"),
         pytest.param(7, 7.3, 5, None, id="7-7.3"),

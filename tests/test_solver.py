@@ -380,6 +380,16 @@ class TestKKTResidual:
         problem = baseline_problem(paper_config, uniform_load, h0, 7.5)
         assert gb.kkt_residual(problem, h0, 123.456) == 0.0
 
+    def test_bound_cells_need_a_nonnegative_multiplier(self, paper_config, uniform_load):
+        # every cell sits at its bound h0 and wants to grow: at lam = 0 the
+        # bound multipliers c'(h0) + lam are all negative, so h0 is no KKT
+        # point, and the residual is the largest violation
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        problem = baseline_problem(paper_config, uniform_load, h0, 7.5)
+        violation = float(np.max(-problem.density.derivative(h0.values)))
+        assert gb.kkt_residual(problem, h0, 0.0) == violation
+        assert violation == pytest.approx(0.7040266, rel=1e-7)
+
     def test_perturbation_increases_residual(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         ana = gb.solve_baseline_first(paper_config, 0.02, 0.3, 7.5)
