@@ -9,7 +9,6 @@ configuration error, 3 solver non-convergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ from .config import parse_config
 from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
 from .growth import GrowthTrace, StepRecord, run_growth
 from .output import (read_profile, render_curve_svg, render_profile_svg,
-                     write_csv, write_trace, _write_atomic)
+                     write_csv, write_json, write_trace)
 
 
 def _load_config(path: str):
@@ -114,9 +113,7 @@ def _cmd_analytic(args) -> int:
 
     paths = write_trace(trace, out_dir)
     analytic_path = os.path.join(out_dir, "analytic.json")
-    _write_atomic(analytic_path,
-                  [(json.dumps({"steps": analytic_rows}, indent=2,
-                               sort_keys=True) + "\n").encode()])
+    write_json(analytic_path, {"steps": analytic_rows})
     _say(args, "wrote " + ", ".join(paths + [analytic_path]))
     return 0
 
@@ -126,8 +123,12 @@ def _cmd_convexity(args) -> int:
     if rc.load_kind != "moment":
         raise ConfigError("convexity diagnostics need load.kind = moment "
                           "(a constant bending moment)")
-    eps = rc.prestrain_eps[0]
-    kap = rc.prestrain_kappa[0]
+    for key, values in (("prestrain.eps", rc.prestrain_eps),
+                        ("prestrain.kappa", rc.prestrain_kappa)):
+        if len(values) > 1:
+            raise ConfigError(f"convexity diagnostics take one {key} value "
+                              f"(got {len(values)})")
+    (eps,), (kap,) = rc.prestrain_eps, rc.prestrain_kappa
     if eps == 0.0 and kap == 0.0:
         raise ConfigError("set prestrain.eps or prestrain.kappa nonzero to "
                           "choose a diagnostic")

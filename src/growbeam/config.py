@@ -224,6 +224,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"mass.targets needs steps={steps} values (got {len(rc.mass_targets)})",
             lineno, col)
+    if rc.plot_steps and max(rc.plot_steps) > steps:
+        lineno, col = positions["plot.steps"]
+        raise ConfigError(f"plot.steps must be <= steps={steps} (got {max(rc.plot_steps)})",
+                          lineno, col)
     if rc.hbar_max <= rc.hbar_min:
         lineno, col = positions.get("convexity.hbar_max", (0, 0))
         raise ConfigError("convexity.hbar_max must exceed convexity.hbar_min",

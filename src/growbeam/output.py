@@ -3,14 +3,15 @@
 Numeric text uses 17 significant digits so binary64 values survive a
 round-trip exactly; identical traces produce byte-identical files.  Files
 are written to a temporary name in the target directory and renamed into
-place.
+place; every JSON file goes through ``write_json``.
 
 ``_format17`` writes ``format(v, ".17g")`` for a whole array with exact
 integer arithmetic in numpy (per value outside [1e-4, 1e17)); profile.csv
-goes through it ``_BLOCK`` rows at a time.  SVG polylines take one ``%``
-call each and are drawn at pixel resolution: a run of more than four
-consecutive points in one pixel column keeps four of them
-(``_pixel_columns``); profile.csv holds the full data.
+goes through it ``_BLOCK`` rows at a time.  Each SVG is text from one
+template (``_Frame.write``) with ``&``, ``<`` and ``>`` escaped in caller
+text; polylines take one ``%`` call each and are drawn at pixel resolution:
+a run of more than four consecutive points in one pixel column keeps four
+of them (``_pixel_columns``); profile.csv holds the full data.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import os
 import tempfile
 import warnings
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -139,6 +139,11 @@ def write_csv(path: str, header: str, columns) -> None:
     _write_atomic(path, [header.encode() + b"\n", rows.tobytes().translate(None, b"\0")])
 
 
+def write_json(path: str, value) -> None:
+    """Write ``value`` as JSON, indented by 2 with sorted keys, and a newline."""
+    _write_atomic(path, [(json.dumps(value, indent=2, sort_keys=True) + "\n").encode()])
+
+
 def _profile_blocks(trace: GrowthTrace):
     """profile.csv as bytes, ``_BLOCK`` rows (which may span steps) at a time."""
     heights = trace.heights_by_step()
@@ -185,8 +190,7 @@ def write_trace(trace: GrowthTrace, directory: str):
         ],
     }
     summary_path = os.path.join(directory, SUMMARY_JSON)
-    _write_atomic(summary_path,
-                  [(json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()])
+    write_json(summary_path, summary)
     return [profile_path, summary_path]
 
 
@@ -233,7 +237,7 @@ def read_profile(directory: str):
 
 
 # ---------------------------------------------------------------------------
-# SVG rendering (hand-rolled, deterministic, well-formed XML)
+# SVG rendering: text from one template, deterministic, well-formed XML
 # ---------------------------------------------------------------------------
 
 _W, _H = 640, 400
@@ -270,7 +274,7 @@ def _pixel_columns(px, py):
 
 
 class _Frame:
-    """Maps data coordinates into the SVG plot box and draws axes.
+    """Maps data coordinates into the SVG plot box and writes the document.
 
     ``px`` and ``py`` take scalars or whole arrays; the arithmetic is the
     same either way, so a coordinate maps to the same pixel float."""
@@ -296,59 +300,37 @@ class _Frame:
         xy = np.column_stack([px[keep], py[keep]]).ravel().tolist()
         return ("%.6g,%.6g " * (len(xy) // 2) % tuple(xy))[:-1]   # one % call
 
-    def svg(self, xlabel, ylabel):
-        """A new SVG root holding the background, plot box, ticks and labels."""
-        root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
-                          width=str(_W), height=str(_H),
-                          viewBox=f"0 0 {_W} {_H}")
-        ET.SubElement(root, "rect", x="0", y="0", width=str(_W), height=str(_H),
-                      fill="white")
-        ET.SubElement(root, "rect", x=str(_ML), y=str(_MT),
-                      width=str(_W - _ML - _MR), height=str(_H - _MT - _MB),
-                      fill="none", stroke="black")
-        for i in range(5):
-            fx = self.x0 + (self.x1 - self.x0) * i / 4
-            px = self.px(fx)
-            ET.SubElement(root, "line", x1=_coord(px), y1=str(_H - _MB),
-                          x2=_coord(px), y2=str(_H - _MB + 5), stroke="black")
-            t = ET.SubElement(root, "text", x=_coord(px), y=str(_H - _MB + 18),
-                              fill="black")
-            t.set("text-anchor", "middle")
-            t.set("font-size", "11")
-            t.text = format(fx, ".4g")
-            fy = self.y0 + (self.y1 - self.y0) * i / 4
-            py = self.py(fy)
-            ET.SubElement(root, "line", x1=str(_ML - 5), y1=_coord(py),
-                          x2=str(_ML), y2=_coord(py), stroke="black")
-            t = ET.SubElement(root, "text", x=str(_ML - 8), y=_coord(py + 4),
-                              fill="black")
-            t.set("text-anchor", "end")
-            t.set("font-size", "11")
-            t.text = format(fy, ".4g")
-        xl = ET.SubElement(root, "text", x=_coord((_ML + _W - _MR) / 2),
-                           y=str(_H - 8), fill="black")
-        xl.set("text-anchor", "middle")
-        xl.set("font-size", "12")
-        xl.text = xlabel
-        yl = ET.SubElement(root, "text", x="14", y=_coord((_MT + _H - _MB) / 2),
-                           fill="black")
-        yl.set("text-anchor", "middle")
-        yl.set("font-size", "12")
-        yl.set("transform",
-               f"rotate(-90 14 {_coord((_MT + _H - _MB) / 2)})")
-        yl.text = ylabel
-        return root
+    def write(self, path, xlabel, ylabel, body):
+        """Write the SVG document at ``path``: background, plot box, ticks
+        and the axis labels, then the element strings of ``body``."""
+        def parts():
+            yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+                   f'viewBox="0 0 {_W} {_H}"><rect x="0" y="0" width="{_W}" height="{_H}" '
+                   f'fill="white" /><rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+                   f'height="{_H - _MT - _MB}" fill="none" stroke="black" />')
+            for i in range(5):
+                fx = self.x0 + (self.x1 - self.x0) * i / 4
+                fy = self.y0 + (self.y1 - self.y0) * i / 4
+                px, py = _coord(self.px(fx)), self.py(fy)
+                yield (f'<line x1="{px}" y1="{_H - _MB}" x2="{px}" y2="{_H - _MB + 5}" '
+                       f'stroke="black" /><text x="{px}" y="{_H - _MB + 18}" fill="black" '
+                       f'text-anchor="middle" font-size="11">{fx:.4g}</text><line '
+                       f'x1="{_ML - 5}" y1="{_coord(py)}" x2="{_ML}" y2="{_coord(py)}" '
+                       f'stroke="black" /><text x="{_ML - 8}" y="{_coord(py + 4)}" '
+                       f'fill="black" text-anchor="end" font-size="11">{fy:.4g}</text>')
+            mid = _coord((_MT + _H - _MB) / 2)
+            yield (f'<text x="{_coord((_ML + _W - _MR) / 2)}" y="{_H - 8}" fill="black" '
+                   f'text-anchor="middle" font-size="12">{_escape(xlabel)}</text><text '
+                   f'x="14" y="{mid}" fill="black" text-anchor="middle" font-size="12" '
+                   f'transform="rotate(-90 14 {mid})">{_escape(ylabel)}</text>')
+            yield from body
+            yield "</svg>\n"
+        _write_atomic(path, (part.encode() for part in parts()))
 
 
-def _polyline(root, points, color, width="1.5", dash=None):
-    el = ET.SubElement(root, "polyline", points=points, fill="none", stroke=color)
-    el.set("stroke-width", width)
-    if dash:
-        el.set("stroke-dasharray", dash)
-
-
-def _write_svg(root, path):
-    _write_atomic(path, [(ET.tostring(root, encoding="unicode") + "\n").encode()])
+def _escape(text):
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
@@ -377,24 +359,22 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
               for step in available if step <= last}
     left, right = _coord(frame.px(0.0)), _coord(frame.px(n * width))
     base = _coord(frame.py(0.0))
-    paths = []
-    for idx in step_indices:
-        root = frame.svg("x [dm]", "height [dm]")
-        ET.SubElement(root, "polygon",
-                      points=f"{left},{base} {stairs[idx]} {right},{base}",
-                      fill="#9ecae1", stroke="none")
+
+    def body(idx):
+        yield (f'<polygon points="{left},{base} {stairs[idx]} {right},{base}" '
+               'fill="#9ecae1" stroke="none" />')
         for prev in available:
             if prev >= idx:
                 break
-            _polyline(root, stairs[prev], "#555555", width="1", dash="4 3")
-        _polyline(root, stairs[idx], "#08519c")
-        title = ET.SubElement(root, "text", x=str(_ML + 8), y=str(_MT + 16),
-                              fill="black")
-        title.set("font-size", "12")
-        title.text = f"step {idx}"
-        path = os.path.join(directory, f"profile_step_{idx}.svg")
-        _write_svg(root, path)
-        paths.append(path)
+            yield (f'<polyline points="{stairs[prev]}" fill="none" stroke="#555555" '
+                   'stroke-width="1" stroke-dasharray="4 3" />')
+        yield (f'<polyline points="{stairs[idx]}" fill="none" stroke="#08519c" '
+               f'stroke-width="1.5" /><text x="{_ML + 8}" y="{_MT + 16}" fill="black" '
+               f'font-size="12">step {idx}</text>')
+
+    paths = [os.path.join(directory, f"profile_step_{idx}.svg") for idx in step_indices]
+    for idx, path in zip(step_indices, paths):
+        frame.write(path, "x [dm]", "height [dm]", body(idx))
     return paths
 
 
@@ -406,15 +386,13 @@ def render_curve_svg(xs, curves, path, xlabel, ylabel):
     y_min = min(float(np.min(ys)) for ys in curves.values())
     y_max = max(float(np.max(ys)) for ys in curves.values())
     frame = _Frame(float(xs[0]), float(xs[-1]), y_min, y_max)
-    root = frame.svg(xlabel, ylabel)
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
+    body = []
     for k, (name, ys) in enumerate(curves.items()):
-        _polyline(root, frame.points(xs, np.asarray(ys, dtype=float)),
-                  palette[k % len(palette)])
-        label = ET.SubElement(root, "text", x=str(_ML + 8),
-                              y=str(_MT + 16 + 14 * k),
-                              fill=palette[k % len(palette)])
-        label.set("font-size", "11")
-        label.text = name
-    _write_svg(root, path)
+        color = palette[k % len(palette)]
+        points = frame.points(xs, np.asarray(ys, dtype=float))
+        body.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                    f'stroke-width="1.5" /><text x="{_ML + 8}" y="{_MT + 16 + 14 * k}" '
+                    f'fill="{color}" font-size="11">{_escape(name)}</text>')
+    frame.write(path, xlabel, ylabel, body)
     return path

@@ -110,6 +110,22 @@ class TestRun:
                                         gb.PrestrainPair(0.0, 0.02),
                                         gb.PrestrainPair(-0.01, 0.0)]
 
+    def test_vanishing_moment_writes_a_positive_zero_lambda(self, cfg_file, tmp_path):
+        # no load: q = 0 on every free cell, where -mean(q) is -0.0
+        out = tmp_path / "out"
+        cfg = cfg_file("load.kind = uniform\nload.value = 0\nsteps = 2\n")
+        assert main(["run", cfg, "--output-dir", str(out), "--quiet"]) == 0
+        text = (out / "summary.json").read_text()
+        assert '"lambda": 0.0,' in text and "-0.0" not in text
+
+    def test_plot_step_above_steps_is_refused_before_running(self, cfg_file, tmp_path,
+                                                             capsys):
+        out = tmp_path / "out"
+        cfg = cfg_file(RUN_CFG.replace("plot.steps = 0, 5", "plot.steps = 0, 6"))
+        assert main(["run", cfg, "--output-dir", str(out)]) == 2
+        assert "plot.steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.cfg")])
         assert code == 4
@@ -135,6 +151,7 @@ class TestAnalytic:
         cfg = cfg_file(RUN_CFG.replace("mass.increment = 0.6",
                                        "mass.increment = 1.5")
                        .replace("steps = 5", "steps = 1")
+                       .replace("plot.steps = 0, 5", "plot.steps = 0, 1")
                        .replace("n_cells = 60", "n_cells = 200"))
         assert main(["analytic", cfg, "--output-dir", str(out), "--quiet"]) == 0
         data = json.loads((out / "analytic.json").read_text())
@@ -211,6 +228,19 @@ class TestConvexity:
         bad = "load.kind = moment\nload.value = 20\n"
         assert main(["convexity", cfg_file(bad),
                      "--output-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("key, values", [("prestrain.eps", "0.01, 0.0"),
+                                             ("prestrain.eps", "0.0, 0.01"),
+                                             ("prestrain.kappa", "0.05, 0.0")])
+    def test_refuses_a_per_step_list(self, cfg_file, tmp_path, capsys, key, values):
+        # one value chooses the diagnostic; a per-step list has no one value
+        text = "".join(line for line in CONVEXITY_CFG.splitlines(keepends=True)
+                       if not line.startswith(key))
+        cfg = cfg_file(text + f"steps = 2\n{key} = {values}\n")
+        out = tmp_path / "x"
+        assert main(["convexity", cfg, "--output-dir", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlot:

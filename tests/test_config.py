@@ -110,6 +110,14 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "mass.mode = perhaps\n")
 
+    def test_plot_steps_above_steps_rejected_with_position(self):
+        text = MINIMAL.replace("steps = 10", "steps = 4")
+        assert parse_config(text + "plot.steps = 0, 4\n").plot_steps == (0, 4)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "plot.steps = 0, 5\n")
+        assert "plot.steps" in str(err.value) and "steps=4" in str(err.value)
+        assert (err.value.line, err.value.column) == (5, len("plot.steps = ") + 1)
+
     def test_hbar_window_validated(self):
         with pytest.raises(ConfigError):
             parse_config(MINIMAL + "convexity.hbar_min = 5\nconvexity.hbar_max = 2\n")

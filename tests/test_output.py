@@ -13,7 +13,8 @@ import growbeam as gb
 from growbeam import output
 from growbeam.errors import DomainError
 from growbeam.output import (_format17, _Frame, _pixel_columns, read_profile,
-                             render_profile_svg, write_csv, write_trace)
+                             render_curve_svg, render_profile_svg, write_csv,
+                             write_trace)
 
 # binary64 values whose 17-digit text is easy to get wrong: the smallest
 # subnormal, a tiny normal, repeating and inexact decimals, a large integer
@@ -397,6 +398,18 @@ class TestRenderSvg:
         for points, h in ((flat, heights[0]), (line, heights[1])):
             assert points[0] == f"{_text6(frame.px(0.0))},{_text6(frame.py(h[0]))}"
             assert points[-1] == f"{_text6(frame.px(20.0))},{_text6(frame.py(h[-1]))}"
+
+    def test_curve_names_and_labels_are_escaped(self, tmp_path):
+        curves = {"a & b": [0.0, 1.0, 0.0], "<f**>": [1.0, 2.0, 3.0]}
+        path = render_curve_svg([0.0, 1.0, 2.0], curves, str(tmp_path / "c.svg"),
+                                "x <dm>", "R&D > 0")
+        raw = open(path, encoding="utf-8").read()
+        assert "a &amp; b" in raw and "&lt;f**&gt;" in raw
+        assert "x &lt;dm&gt;" in raw and "R&amp;D &gt; 0" in raw
+        root = ET.parse(path).getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        # ten tick labels, the two axis labels, then one name per curve
+        assert texts[10:] == ["x <dm>", "R&D > 0", "a & b", "<f**>"]
 
 
 class TestReadProfile:
