@@ -126,8 +126,7 @@ def _cmd_convexity(args) -> int:
     for key, values in (("prestrain.eps", rc.prestrain_eps),
                         ("prestrain.kappa", rc.prestrain_kappa)):
         if len(values) > 1:
-            raise ConfigError(f"convexity diagnostics take one {key} value "
-                              f"(got {len(values)})")
+            raise ConfigError(f"convexity diagnostics take one {key} value (got {len(values)})")
     (eps,), (kap,) = rc.prestrain_eps, rc.prestrain_kappa
     if eps == 0.0 and kap == 0.0:
         raise ConfigError("set prestrain.eps or prestrain.kappa nonzero to "

@@ -329,7 +329,7 @@ class _Frame:
 
 
 def _escape(text):
-    """``text`` as XML character data: ``&``, ``<`` and ``>`` escaped."""
+    """``xml.sax.saxutils.escape`` without its import of urllib.request."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -380,8 +380,7 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
 
 def render_curve_svg(xs, curves, path, xlabel, ylabel):
     """Plot named curves over a common abscissa (convexity diagnostics)."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     xs = np.asarray(xs, dtype=float)
     y_min = min(float(np.min(ys)) for ys in curves.values())
     y_max = max(float(np.max(ys)) for ys in curves.values())

@@ -215,8 +215,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
 
     for it in range(options.max_iter + 1):
         free = h > lb + TOL_ACTIVE
-        # 0.0 - x, not -x: a vanishing mean gives 0.0, not -0.0
-        lam = 0.0 - float(np.mean(q[free]) if np.any(free) else np.min(q))
+        lam = 0.0 - float(np.mean(q[free]) if np.any(free) else np.min(q))  # never -0.0
         if at_most:
             lam = max(lam, 0.0) if shift > 0.0 else 0.0
         res = _defect(q, free, lam)

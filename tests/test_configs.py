@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from growbeam.config import parse_config
 from tests.output_digest import digest
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -22,6 +23,9 @@ def test_config_runs_and_replots(path, tmp_path):
     name = os.path.basename(path)[:-len(".cfg")]
     sums = digest([path], tmp_path)
     assert sums, name
-    # every SVG the run drew has a replot with the same bytes
-    for key in [k for k in sums if k.startswith(f"{name}/profile_step_")]:
-        assert sums[key.replace(f"{name}/", f"{name}/replot/", 1)] == sums[key], key
+    # every step the config draws has an SVG from the run and an identical replot
+    with open(path) as handle:
+        steps = parse_config(handle.read()).plot_steps
+    for step in steps or ():
+        key = f"{name}/profile_step_{step}.svg"
+        assert sums[key.replace("/", "/replot/", 1)] == sums[key], key
