@@ -210,7 +210,8 @@ def _malformed_profile(path: str, exc: ValueError) -> DomainError:
 
 
 def read_profile(directory: str):
-    """Read profile.csv back: (x_centers, {step: heights})."""
+    """Read profile.csv back: (x_centers, {step: heights}).  Every step must
+    have as many rows as the first."""
     path = os.path.join(directory, PROFILE_CSV)
     with open(path, "r", newline="") as handle:
         header = handle.readline().strip()
@@ -231,9 +232,16 @@ def read_profile(directory: str):
     order = np.argsort(rows["step"], kind="stable")
     step = rows["step"][order]
     starts = np.flatnonzero(np.diff(step)) + 1
+    firsts = np.r_[0, starts]
+    sizes = np.diff(np.r_[firsts, step.size])
+    ragged = np.flatnonzero(sizes != sizes[0])
+    if ragged.size:
+        k = ragged[0]
+        raise DomainError(f"{path}: step {step[firsts[k]]} has {sizes[k]} rows, "
+                          f"step {step[0]} has {sizes[0]}")
     heights = np.split(rows["height"][order], starts)
-    x_centers = rows["x"][order[:len(heights[0])]]
-    return x_centers, dict(zip(step[np.r_[0, starts]].tolist(), heights))
+    x_centers = rows["x"][order[:sizes[0]]]
+    return x_centers, dict(zip(step[firsts].tolist(), heights))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ The objective is separable,
 with a diagonal Hessian, one mass constraint and a lower bound per cell.
 Its classical solver is projected Newton (Bertsekas, SIAM J. Control Optim.
 1982): a diagonal Newton step projected in the Hessian metric onto
-{delta * sum h = m, h >= lb} (Michelot's active-set iteration on the shift),
-or onto {delta * sum h <= m, h >= lb} when the budget is an upper bound,
-with Armijo backtracking along the projection arc.
+{delta * sum h = m, h >= lb}, or onto {delta * sum h <= m, h >= lb} when the
+budget is an upper bound, with Armijo backtracking along the projection arc.
+The projection solves for one shift: by a Newton step from the shift the
+mass multiplier predicts, which usually ends it, and otherwise by Michelot's
+active-set iteration.
 
 Sign conventions follow the Lagrangian L = F + lam * (delta sum h - m)
 - sum_j mu_j (h_j - lb_j): at a stationary point c' + (h - hprev)/tau + lam
@@ -83,7 +85,7 @@ class StepSolution:
     degenerate: bool = False
 
 
-def _project_shift(z, lb, mass, delta, w=1.0, at_most=False):
+def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
     """Projection onto {delta * sum h = mass, h >= lb}, or onto
     {delta * sum h <= mass, h >= lb} if ``at_most``, in the metric
     sum (h - z)^2 / w, w > 0 (Euclidean for a scalar w).
@@ -91,12 +93,21 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False):
     Returns (h, t) with h_j = max(lb_j, z_j - t w_j), exact up to rounding.
     Under an at-most budget t >= 0 is zero unless the budget binds, so the
     result is max(lb, z) with t = 0 when that point fits the budget, and the
-    equality projection otherwise.  The latter is Michelot's active-set
-    iteration (Condat, Math. Prog. 2016, Sec. 3) on the breakpoints
-    y = z - lb: start from the shift that spreads the excess mass over every
-    cell, then keep the cells with y > t w and recompute
-    t = (sum y - excess) / sum w on them until no cell drops out.  The shift
-    only grows and a dropped cell stays dropped, so it ends in N passes.
+    equality projection otherwise.  The latter is the root t of the convex,
+    decreasing phi(t) = sum max(0, y - t w) - excess, y = z - lb: the shift
+    t(S) = (sum_S y - excess) / sum_S w of the set S = {y > t w}.
+
+    With array weights and a start shift ``t0`` it first takes one Newton
+    step on phi from t0, which is t(S) for the set S at t0 (Cominetti,
+    Mascarenhas & Silva, Math. Prog. Comp. 2014); if the set at t(S) is S
+    again, t(S) is the root.  Otherwise Michelot's active-set iteration
+    (Condat, Math. Prog. 2016, Sec. 3), Newton from the left, runs from the
+    set at t(S), or from every cell without ``t0`` or when the set at t0 is
+    empty or every cell: recompute t on the kept cells and keep those with
+    y > t w until no cell drops out.  A Newton step lands at or left of the
+    root, so from there t only grows and a dropped cell stays dropped: it
+    ends in N passes.  Both starts end on the same set and bits unless a
+    breakpoint lies within rounding of the root.
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
@@ -114,6 +125,17 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False):
 
     excess = target - base
     kept, w_kept = z - lb, w
+    if t0 is not None and np.ndim(w):
+        # One Newton step on the convex, decreasing phi(t) from t0 lands at
+        # or left of the root; an empty or full set at t0 starts cold.
+        guess = kept > t0 * w
+        if 0 < np.count_nonzero(guess) < kept.size:
+            t = (float(np.sum(kept[guess])) - excess) / float(np.sum(w[guess]))
+            mask = kept > t * w
+            if np.array_equal(mask, guess):
+                return np.maximum(lb, z - t * w), t
+            if mask.any():
+                kept, w_kept = kept[mask], w[mask]
     while True:
         w_sum = float(np.sum(w_kept)) if np.ndim(w) else w * kept.size
         t = (float(np.sum(kept)) - excess) / w_sum
@@ -163,7 +185,10 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
 
     Each iteration projects z = h - q w, with q = c' + (h - hprev)/tau and
     w = 1/|c'' + 1/tau|, in the metric sum (h - z)^2 / w and backtracks
-    along that arc until the Armijo test holds.  A full step whose model
+    along that arc until the Armijo test holds.  A trial step alpha starts
+    the projection's shift at alpha * lam: at a fixed point t = -alpha q =
+    alpha * lam on the free cells, so near the solution one Newton step on
+    the shift ends the projection.  A full step whose model
     decrease is below the objective's noise floor is taken; a shorter one
     that still fails the test raises ``ConvergenceError`` at once, and so
     does such a full step when the residual after it does not fall below
@@ -184,8 +209,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     tau = problem.tau
     at_most = problem.mass_mode is MassMode.INEQUALITY
 
-    def projection(z, w=1.0):
-        return _project_shift(z, lb, mass, delta, w, at_most)
+    def projection(z, w=1.0, t0=None):
+        return _project_shift(z, lb, mass, delta, w, at_most, t0)
 
     def objective(h):
         val = float(np.sum(density.value(h)))
@@ -235,7 +260,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         noise = 16.0 * np.finfo(float).eps * max(1.0, abs(obj))
         alpha = 1.0
         while True:
-            h_new, shift_new = projection(h - alpha * step, w)
+            h_new, shift_new = projection(h - alpha * step, w, alpha * lam)
             g_dot_d = delta * float(np.dot(q, h_new - h))
             obj_new = objective(h_new)
             if (obj_new <= obj + ARMIJO * g_dot_d + noise

@@ -264,6 +264,18 @@ class TestPlot:
         main(["run", cfg_file(RUN_CFG), "--output-dir", str(out), "--quiet"])
         assert main(["plot", str(out), "--steps", "42", "--quiet"]) == 2
 
+    def test_ragged_profile_is_refused(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(RUN_CFG), "--output-dir", str(out),
+                     "--quiet"]) == 0
+        csv = out / "profile.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        del lines[next(k for k, line in enumerate(lines) if line.startswith("3,")) + 5]
+        csv.write_text("".join(lines))
+        assert main(["plot", str(out), "--steps", "5", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and "step 3 has 59 rows, step 0 has 60" in err
+
     def test_missing_trace_dir(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope"), "--steps", "0"]) == 4
 

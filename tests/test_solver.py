@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import growbeam as gb
 from growbeam.compliance import ComplianceDensity
+from growbeam.config import parse_config
 from growbeam.errors import ConvergenceError, DomainError, InfeasibleError
 from growbeam.solver import TOL_ACTIVE, _project_shift
 
@@ -72,7 +74,18 @@ def assert_matches_oracle(z, lb, mass, delta, at_most=False, w=None):
     return out
 
 
+def assert_warm_equals_cold(z, lb, mass, delta, w, at_most, starts):
+    """``_project_shift`` from each start shift returns the cold start's h
+    and t bit for bit."""
+    h, t = _project_shift(z, lb, mass, delta, w, at_most)
+    for t0 in starts:
+        h_warm, t_warm = _project_shift(z, lb, mass, delta, w, at_most, t0=t0)
+        assert t_warm == t, (t0, t_warm, t)
+        np.testing.assert_array_equal(h_warm, h)
+
+
 SIZES = [1, 2, 1000, 20_000]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestProjection:
@@ -142,6 +155,10 @@ class TestProjection:
             assert np.count_nonzero(out > lb) == n - k
             out = assert_matches_oracle(lb + y, lb, mass, delta, at_most=True, w=w)
             np.testing.assert_array_equal(out > lb, y > max(t, 0.0) * w)
+            if np.ndim(w):
+                for at_most in (False, True):
+                    assert_warm_equals_cold(lb + y, lb, mass, delta, w, at_most,
+                                            [t, 0.5 * (order[0] + t), order[-1] + 1.0])
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("t", [0.5, 0.6])
@@ -152,6 +169,41 @@ class TestProjection:
         mass = 0.5 * (lb.sum() + np.maximum(y - t, 0.0).sum())
         out = assert_matches_oracle(lb + y, lb, mass, 0.5)
         np.testing.assert_array_equal(out > lb, y > t)
+
+    @pytest.mark.parametrize("n", SIZES[1:])
+    @pytest.mark.parametrize("weights", ["heavy_tailed", "tied"])
+    @pytest.mark.parametrize("at_most", [False, True])
+    def test_warm_start_matches_cold_start(self, rng, n, weights, at_most):
+        if weights == "heavy_tailed":
+            # the metric weights 1/c'' reach 1e17 at the tip, where M -> 0
+            lb = rng.uniform(0.1, 1.0, size=n)
+            y = rng.normal(0.0, 1.0, size=n)
+            w = 10.0 ** rng.uniform(-3.0, 17.0, size=n)
+            delta = 20.0 / n
+        else:
+            # dyadic breakpoints shared by many cells keep every sum exact
+            lb = np.full(n, 0.5)
+            y = 0.25 * rng.integers(-2, 5, size=n)
+            w = 2.0 ** rng.integers(-2, 3, size=n)
+            delta = 0.5
+        ratios = np.unique(y / w)
+        k = len(ratios) // 2
+        # the root on a breakpoint (a tie in the tied case) and between two
+        for root in (ratios[k], 0.5 * (ratios[k - 1] + ratios[k])):
+            mass = delta * (lb.sum() + np.maximum(y - root * w, 0.0).sum())
+            t = _project_shift(lb + y, lb, mass, delta, w, at_most)[1]
+            starts = [t, t + 1e-9 * abs(t), t - 1e-9 * abs(t),
+                      np.nextafter(t, np.inf), np.nextafter(t, -np.inf),
+                      ratios[0], ratios[k // 2], ratios[-2], 0.0,
+                      # no cell above it (zero slope), every cell above it
+                      ratios[-1] + 1.0, ratios[0] - 1.0]
+            assert_warm_equals_cold(lb + y, lb, mass, delta, w, at_most, starts)
+
+    def test_warm_start_with_excess_below_rounding(self):
+        # the Newton step from 0.5 lands on the shared ratio 1, where no cell
+        # is above the shift; the cold start then pins every cell there
+        z, lb, w = np.array([1.0, 1.0, 0.0]), np.zeros(3), np.ones(3)
+        assert_warm_equals_cold(z, lb, 1e-20, 1.0, w, False, [0.5])
 
     @pytest.mark.parametrize("n", SIZES)
     def test_lower_bound_mass_returns_lb(self, rng, n):
@@ -182,6 +234,47 @@ def test_projection_optimality_property(n, seed):
         w = rng.uniform(0.0, 1.0, size=n)
         u = lb + (mass - lb.sum()) * w / max(w.sum(), 1e-12)
         assert np.sum((h - z) ** 2) <= np.sum((u - z) ** 2) + 1e-9
+
+
+def test_warm_started_run_matches_cold_started_run(monkeypatch):
+    # baseline.cfg at N = 2e4, where the warm start saves most passes: the
+    # run with every projection started cold gives the same bits
+    text = (CONFIGS / "baseline.cfg").read_text() + "n_cells = 20000\n"
+    rc = parse_config(text)
+
+    def run():
+        iterations = []
+
+        def counted(problem, options=None):
+            sol = gb.solver.minimize_step(problem, options)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(gb.growth, "minimize_step", counted)
+        trace = gb.run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
+                              rc.schedule(), rc.prestrains(), tau=rc.tau,
+                              mass_mode=rc.mode(), options=rc.solver_options())
+        return (np.array(trace.heights_by_step()), [r.lam for r in trace.records],
+                iterations)
+
+    warm_starts = []
+
+    def spy(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
+        warm_starts.append(t0)
+        return project(z, lb, mass, delta, w, at_most, t0)
+
+    def cold(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
+        return project(z, lb, mass, delta, w, at_most)
+
+    project = gb.solver._project_shift
+    monkeypatch.setattr(gb.solver, "_project_shift", spy)
+    h, lam, iterations = run()
+    assert any(t0 is not None for t0 in warm_starts)
+    monkeypatch.setattr(gb.solver, "_project_shift", cold)
+    h_cold, lam_cold, iterations_cold = run()
+    np.testing.assert_array_equal(h, h_cold)
+    np.testing.assert_array_equal(lam, lam_cold)
+    assert iterations == iterations_cold
 
 
 def baseline_problem(config, load, h_prev, mass, tau=math.inf,
