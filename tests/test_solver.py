@@ -185,6 +185,7 @@ class TestProjection:
             lb = np.full(n, 0.5)
             y = 0.25 * rng.integers(-2, 5, size=n)
             w = 2.0 ** rng.integers(-2, 3, size=n)
+            y[:2], w[:2] = (1.0, -0.5), 1.0   # at least two breakpoints
             delta = 0.5
         ratios = np.unique(y / w)
         k = len(ratios) // 2
