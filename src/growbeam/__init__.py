@@ -7,13 +7,13 @@ from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
                    deflection, equilibrium_general, stress_at)
 from .baseline import BaselineSolution, solve_baseline_first, solve_baseline_step
 from .compliance import (ComplianceDensity, compliance_total,
-                         convex_envelope_1d, density_baseline, f_second,
-                         f_value, g_second, g_value)
-from .config import RunConfig, dump_config, parse_config
+                         convex_envelope_1d, f_second, f_value, g_second,
+                         g_value)
+from .config import RunConfig, parse_config
 from .errors import (ConfigError, ConvergenceError, DegenerateSectionError,
                      DomainError, InfeasibleError)
-from .growth import (GrowthTrace, MassSchedule, ScheduleKind, StepRecord,
-                     run_growth, stationarity_report)
+from .growth import (GrowthTrace, MassSchedule, StepRecord, run_growth,
+                     stationarity_report)
 from .output import read_profile, render_curve_svg, render_profile_svg, write_trace
 from .solver import (MassMode, SolverOptions, StepProblem, StepSolution,
                      kkt_residual, minimize_step)

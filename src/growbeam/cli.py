@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .baseline import solve_baseline_first, solve_baseline_step
 from .beam import LoadKind, bending_moment
-from .compliance import (convex_envelope_1d, density_baseline, f_second,
+from .compliance import (ComplianceDensity, convex_envelope_1d, f_second,
                          f_value, g_second, g_value)
 from .config import parse_config
 from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
@@ -76,8 +76,8 @@ def _cmd_analytic(args) -> int:
     targets = rc.schedule().targets(m0, rc.steps)
     m_centers = bending_moment(load, config, config.x_centers)
     with np.errstate(all="ignore"):
-        c0 = config.delta * float(np.sum(density_baseline(h0.values, m_centers,
-                                                          config.young_modulus)))
+        density = ComplianceDensity.baseline(config.young_modulus, m_centers)
+        c0 = config.delta * float(np.sum(density.value(h0.values)))
     if not math.isfinite(c0):
         raise DomainError(f"load {load.value:g} overflows: initial compliance not finite")
 
@@ -101,11 +101,10 @@ def _cmd_analytic(args) -> int:
         inc = h - h_prev.values
         trace.records.append(StepRecord(
             index=i, h=sol.h, mass=sol.h.mass(config),
-            compliance=config.delta * float(np.sum(
-                density_baseline(h, m_centers, config.young_modulus))),
+            compliance=config.delta * float(np.sum(density.value(h))),
             objective=0.0, lam=sol.lam,
             growth_fraction=float(np.mean(sol.growth_set)),
-            max_increment=float(np.max(inc)), kkt_residual=stat, wall_time=0.0))
+            max_increment=float(np.max(inc)), kkt_residual=stat))
         analytic_rows.append({"step": i, "lambda": sol.lam, "x_hat": x_hat})
         _say(args, f"step {i}: lambda {sol.lam:.10g}"
                    + (f"  x_hat {x_hat:.6g}" if x_hat is not None else ""))

@@ -9,11 +9,10 @@ integral E e^2 over the section, which reduces to
 with (eps, kappa) the equilibrium fields for that profile.  Because the beam
 is statically determinate the integrand is a pointwise function of h, so one
 scalar density c(h) per cell suffices.  ``ComplianceDensity`` writes it as
-one quadratic form in the section's prestrain integrals.  Only the
-no-prestrain closed form ``density_baseline`` stays here, for the
-``analytic`` subcommand; the closed forms for constant axial prestrain and a
-first precurved deposition, and the diagnostics' raw power sums, live in
-``tests/oracles.py`` as independent references.
+one quadratic form in the section's prestrain integrals; every subcommand,
+``analytic`` included, evaluates densities through it.  The closed forms
+(no prestrain, constant axial prestrain, a first precurved deposition) and
+the diagnostics' raw power sums are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ def compliance_total(state: EquilibriumState, h, config: BeamConfig) -> float:
     eps, kap = state.eps, state.kappa
     c = e * (eps**2 * hv + eps * kap * hv**2 + kap**2 * hv**3 / 3.0)
     return config.delta * float(np.sum(c))
-
-
-def density_baseline(h, moment, young_modulus):
-    """Compliance density 12 M^2 / (E h^3) of a beam with no prestrain."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise DomainError("height must be positive")
-    out = 12.0 * np.asarray(moment, dtype=float) ** 2 / (young_modulus * h**3)
-    return float(out) if out.ndim == 0 else out
 
 
 def _quadratic_form(young_modulus, a, r, h):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .beam import BeamConfig, HeightField, LoadCase, LoadKind, PrestrainPair
 from .errors import ConfigError
@@ -162,8 +162,6 @@ KEYS = {
     "convexity.samples": ("samples", _parse_int, "must be >= 3", lambda v: v >= 3),
 }
 
-_FIELD_TO_KEY = {spec[0]: key for key, spec in KEYS.items()}
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text into a RunConfig."""
@@ -234,23 +232,3 @@ def parse_config(text: str) -> RunConfig:
                           lineno or None, col or None)
     return rc
 
-
-def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "inf" if math.isinf(value) else repr(value)
-    if isinstance(value, tuple):
-        return ", ".join(_format_value(v) for v in value)
-    return str(value)
-
-
-def dump_config(rc: RunConfig) -> str:
-    """Canonical text form; parse(dump(rc)) == rc."""
-    lines = []
-    for f in fields(rc):
-        value = getattr(rc, f.name)
-        if value is None:
-            continue
-        lines.append(f"{_FIELD_TO_KEY[f.name]} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"

@@ -3,10 +3,8 @@ from step to step, solver invocation, and trace recording."""
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +23,10 @@ log = logging.getLogger(__name__)
 ABLATION_FLOOR_FRACTION = 1e-3  # lower bound 1e-3 * h0 when ablation is on
 
 
-class ScheduleKind(enum.Enum):
-    AFFINE = "affine"
-    EXPLICIT = "explicit"
-
-
 @dataclass(frozen=True)
 class MassSchedule:
-    """Target masses m_1..m_S, either m0 + i * increment or an explicit list."""
+    """Target masses m_1..m_S: m0 + i * increment, or the explicit ``values``."""
 
-    kind: ScheduleKind
     increment: float | None = None
     values: tuple | None = None
 
@@ -42,17 +34,17 @@ class MassSchedule:
     def affine(cls, increment: float) -> "MassSchedule":
         if increment < 0:
             raise DomainError("mass increment must be nonnegative")
-        return cls(ScheduleKind.AFFINE, increment=increment)
+        return cls(increment=increment)
 
     @classmethod
     def explicit(cls, values) -> "MassSchedule":
         vals = tuple(float(v) for v in values)
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise DomainError("mass targets must be nondecreasing")
-        return cls(ScheduleKind.EXPLICIT, values=vals)
+        return cls(values=vals)
 
     def targets(self, m0: float, steps: int) -> np.ndarray:
-        if self.kind is ScheduleKind.AFFINE:
+        if self.values is None:
             return m0 + self.increment * np.arange(1, steps + 1)
         if len(self.values) != steps:
             raise DomainError(f"schedule lists {len(self.values)} masses for {steps} steps")
@@ -70,7 +62,6 @@ class StepRecord:
     growth_fraction: float
     max_increment: float
     kkt_residual: float
-    wall_time: float
     degenerate: bool = False
 
 
@@ -188,13 +179,11 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
 
     for i, (m_i, pre) in enumerate(zip(targets, prestrains), start=1):
         problem = section.problem(pre, m_i, tau, mass_mode)
-        t0 = time.perf_counter()
         try:
             sol = minimize_step(problem, options)
         except ConvergenceError as err:
             err.partial_trace = trace
             raise
-        elapsed = time.perf_counter() - t0
 
         inc = sol.h.values - section.top.values
         section.deposit(problem.density, sol.h, pre)
@@ -210,7 +199,6 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
             growth_fraction=float(np.mean(inc > TOL_ACTIVE)),
             max_increment=float(np.max(inc)),
             kkt_residual=sol.kkt_residual,
-            wall_time=elapsed,
             degenerate=sol.degenerate,
         ))
     return trace

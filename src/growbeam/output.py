@@ -211,7 +211,7 @@ def _malformed_profile(path: str, exc: ValueError) -> DomainError:
 
 def read_profile(directory: str):
     """Read profile.csv back: (x_centers, {step: heights}).  Every step must
-    have as many rows as the first."""
+    have the first step's rows, with the same x in the same order."""
     path = os.path.join(directory, PROFILE_CSV)
     with open(path, "r", newline="") as handle:
         header = handle.readline().strip()
@@ -239,8 +239,13 @@ def read_profile(directory: str):
         k = ragged[0]
         raise DomainError(f"{path}: step {step[firsts[k]]} has {sizes[k]} rows, "
                           f"step {step[0]} has {sizes[0]}")
-    heights = np.split(rows["height"][order], starts)
     x_centers = rows["x"][order[:sizes[0]]]
+    for first in starts:
+        x = rows["x"][order[first:first + sizes[0]]]
+        if not np.array_equal(x.view(np.uint64), x_centers.view(np.uint64)):
+            raise DomainError(f"{path}: step {step[first]} has other x-centres "
+                              f"than step {step[0]}")
+    heights = np.split(rows["height"][order], starts)
     return x_centers, dict(zip(step[firsts].tolist(), heights))
 
 

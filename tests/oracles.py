@@ -18,6 +18,15 @@ from growbeam.errors import DomainError
 
 # Densities in closed form: references for ComplianceDensity
 
+def density_baseline(h, moment, young_modulus):
+    """Compliance density 12 M^2 / (E h^3) of a beam with no prestrain."""
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0):
+        raise DomainError("height must be positive")
+    out = 12.0 * np.asarray(moment, dtype=float) ** 2 / (young_modulus * h**3)
+    return float(out) if out.ndim == 0 else out
+
+
 def density_prestrain(h, h0, moment, young_modulus, eps_p):
     """Compliance density for constant axial prestrain, zero precurvature.
 

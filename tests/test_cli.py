@@ -8,6 +8,7 @@ import pytest
 import growbeam as gb
 from growbeam import cli
 from growbeam.cli import main
+from tests.oracles import density_baseline
 from tests.output_digest import digest, subcommand
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -201,6 +202,24 @@ class TestAnalytic:
         assert step["x_hat"] is None
         assert step["lambda"] == pytest.approx(0.7040266, rel=1e-7)
 
+    def test_compliance_agrees_with_run_and_oracle(self, tmp_path):
+        path = CONFIGS / "analytic_first_step.cfg"
+        rc = gb.parse_config(path.read_text())
+        config = rc.beam_config()
+        m = gb.bending_moment(rc.load_case(), config, config.x_centers)
+        got = {}
+        for command in ("analytic", "run"):
+            out = tmp_path / command
+            assert main([command, str(path), "--output-dir", str(out), "--quiet"]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            _, heights = gb.read_profile(str(out))
+            got[command] = [summary["initial"]["compliance"],
+                            summary["steps"][0]["compliance"]]
+            for c, h in zip(got[command], (heights[0], heights[1])):
+                oracle = np.sum(density_baseline(h, m, rc.young_modulus))
+                assert c == pytest.approx(config.delta * oracle, rel=1e-14), command
+        assert got["analytic"] == pytest.approx(got["run"], rel=1e-14)
+
 
 class TestConvexity:
     def test_tables_and_plots(self, cfg_file, tmp_path):
@@ -276,6 +295,19 @@ class TestPlot:
         err = capsys.readouterr().err
         assert str(csv) in err and "step 3 has 59 rows, step 0 has 60" in err
 
+    def test_mismatched_x_centres_are_refused(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(RUN_CFG), "--output-dir", str(out),
+                     "--quiet"]) == 0
+        csv = out / "profile.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if line.startswith("5,")) + 7
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        csv.write_text("".join(lines))
+        assert main(["plot", str(out), "--steps", "5", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and "step 5 has other x-centres than step 0" in err
+
     def test_missing_trace_dir(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope"), "--steps", "0"]) == 4
 
@@ -327,8 +359,9 @@ def test_package_exports_no_modules_and_no_test_oracles():
     # the closed forms only the tests use live in tests/oracles.py
     assert not [name for name in gb.__all__
                 if isinstance(getattr(gb, name), types.ModuleType)]
-    for name in ("density_prestrain", "density_precurv_first", "f_value_raw",
-                 "f_second_raw", "g_value_raw", "g_second_raw",
-                 "f_concavity_interval", "equilibrium_bare",
-                 "equilibrium_one_layer", "baseline_mass", "project_mass_lb"):
+    for name in ("density_baseline", "density_prestrain",
+                 "density_precurv_first", "f_value_raw", "f_second_raw",
+                 "g_value_raw", "g_second_raw", "f_concavity_interval",
+                 "equilibrium_bare", "equilibrium_one_layer", "baseline_mass",
+                 "project_mass_lb"):
         assert not hasattr(gb, name), name

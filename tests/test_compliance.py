@@ -7,10 +7,11 @@ import growbeam as gb
 from growbeam.compliance import ComplianceDensity
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
-from tests.oracles import (density_precurv_first, density_prestrain,
-                           equilibrium_bare, equilibrium_one_layer,
-                           f_concavity_interval, f_second_raw, f_value_raw,
-                           g_second_raw, g_value_raw)
+from tests.oracles import (density_baseline, density_precurv_first,
+                           density_prestrain, equilibrium_bare,
+                           equilibrium_one_layer, f_concavity_interval,
+                           f_second_raw, f_value_raw, g_second_raw,
+                           g_value_raw)
 
 ETA_NEG = 20.0 / (1.0e5 * 0.3**2 * -0.01)   # -2/9
 ETA_POS = -ETA_NEG
@@ -45,27 +46,27 @@ class TestComplianceTotal:
 
 class TestDensityBaseline:
     def test_reference(self):
-        assert gb.density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(1.77778, rel=1e-5)
+        assert density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(1.77778, rel=1e-5)
 
     def test_zero_moment(self):
-        assert gb.density_baseline(0.5, 0.0, 1.0e5) == 0.0
+        assert density_baseline(0.5, 0.0, 1.0e5) == 0.0
 
     def test_matches_compliance_per_unit_length(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         st_ = equilibrium_bare(paper_config, moment_load, h0)
         per_len = gb.compliance_total(st_, h0, paper_config) / paper_config.length
-        assert gb.density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(per_len, rel=1e-12)
+        assert density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(per_len, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            gb.density_baseline(0.0, 20.0, 1.0e5)
+            density_baseline(0.0, 20.0, 1.0e5)
 
 
 class TestDensityPrestrain:
     def test_reduces_to_baseline(self):
         for h in (0.3, 0.5, 1.2):
             assert density_prestrain(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
-                gb.density_baseline(h, 20.0, 1.0e5), rel=1e-13)
+                density_baseline(h, 20.0, 1.0e5), rel=1e-13)
 
     def test_value_at_base_height(self):
         # hbar = 1 collapses to the baseline density of the original beam
@@ -118,7 +119,7 @@ class TestDensityPrecurvFirst:
     def test_reduces_to_baseline(self):
         for h in (0.4, 0.9):
             assert density_precurv_first(h, 0.3, 20.0, 1.0e5, 0.0) == pytest.approx(
-                gb.density_baseline(h, 20.0, 1.0e5), rel=1e-13)
+                density_baseline(h, 20.0, 1.0e5), rel=1e-13)
 
     def test_matches_equilibrium_route(self, rng):
         config = gb.BeamConfig(length=4.0, young_modulus=1.0e5, n_cells=1)
@@ -160,7 +161,7 @@ class TestCaseReductionLattice:
         h = h0.values + rng.uniform(0.0, 0.5, size=32)
         m = gb.bending_moment(uniform_load, config, config.x_centers)
         np.testing.assert_allclose(density.value(h),
-                                   gb.density_baseline(h, m, 1.0e5),
+                                   density_baseline(h, m, 1.0e5),
                                    rtol=1e-10, atol=1e-14)
 
     def test_prestrain_telescopes_across_steps(self, rng, moment_load):
@@ -205,7 +206,7 @@ class TestClosedFormOracles:
     def test_baseline(self, samples):
         h, m, e = samples["h"], samples["m"], samples["e"]
         d = ComplianceDensity.baseline(e, m)
-        self.assert_rel(d.value(h), gb.density_baseline(h, m, e))
+        self.assert_rel(d.value(h), density_baseline(h, m, e))
         self.assert_rel(d.derivative(h), -36.0 * m**2 / (e * h**4))
 
     def test_const_prestrain(self, samples):

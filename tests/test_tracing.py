@@ -9,8 +9,10 @@ import sys
 import pytest
 
 import growbeam as gb
+from growbeam import cli
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +55,16 @@ def test_every_patch_site_resolves(spans, ablation):
             assert metrics["beam.segments_calls"] == 0
             assert metrics["compliance.history_cells_per_eval"] == 0
         assert not math.isnan(metrics["growth.step_late_over_early"])
+
+
+def test_analytic_is_traced(spans, tmp_path):
+    # paper_cases' per-layer metrics of the analytic subcommand
+    cfg = ROOT / "configs" / "analytic_first_step.cfg"
+    recorder = spans.Recorder()
+    with spans.Patched(recorder) as patched:
+        assert cli.main(["analytic", str(cfg), "--output-dir", str(tmp_path),
+                         "--quiet"]) == 0
+    metrics = spans.layer_metrics(recorder.spans, patched.missing)
+    assert metrics["compliance.density_build_s"] > 0
+    assert metrics["baseline.solve_baseline_step_s"] > 0
+    assert metrics["compliance.density_value_calls"] > 0
