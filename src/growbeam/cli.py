@@ -53,8 +53,7 @@ def _cmd_run(args) -> int:
         raise
     paths = write_trace(trace, out_dir)
     if rc.plot_steps:
-        heights = dict(enumerate(trace.heights_by_step()))
-        paths += render_profile_svg(trace.config.x_centers, heights,
+        paths += render_profile_svg(trace.config.x_centers, trace.heights_by_step(),
                                     list(rc.plot_steps), out_dir)
     for r in trace.records:
         _say(args, f"step {r.index}: mass {r.mass:.6f}  compliance {r.compliance:.6f}"
@@ -79,7 +78,8 @@ def _cmd_analytic(args) -> int:
         density = ComplianceDensity.baseline(config.young_modulus, m_centers)
         c0 = config.delta * float(np.sum(density.value(h0.values)))
     if not math.isfinite(c0):
-        raise DomainError(f"load {load.value:g} overflows: initial compliance not finite")
+        raise DomainError(f"load {load.value:g} with height0 {float(np.min(h0.values)):g}: "
+                          "initial compliance not finite")
 
     trace = GrowthTrace(config=config, load=load, tau=rc.tau, mass_mode=rc.mode(),
                         ablation=False, h0=h0, initial_mass=m0, initial_compliance=c0)

@@ -280,22 +280,17 @@ def g_second(mu, hbar):
     return _ret(2.0 / hb**5 * (sq + hb**2 * (8.0 * hb**4 - 1.0) / 8.0))
 
 
-def convex_envelope_1d(x, y, domain=None):
+def convex_envelope_1d(x, y):
     """Lower convex envelope of sampled points, evaluated at the sample x's.
 
     Builds the lower hull of the graph (monotone-chain) and interpolates it
-    back onto the sample abscissae.  ``domain`` optionally restricts the
-    samples to a closed interval first.  Requires at least three strictly
+    back onto the sample abscissae.  Requires at least three strictly
     increasing x values.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise DomainError("x and y must be 1-D arrays of equal length")
-    if domain is not None:
-        lo, hi = domain
-        keep = (x >= lo) & (x <= hi)
-        x, y = x[keep], y[keep]
     if x.size < 3:
         raise DomainError("need at least 3 sample points")
     if np.any(np.diff(x) <= 0):

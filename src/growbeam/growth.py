@@ -172,7 +172,8 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
     with np.errstate(all="ignore"):
         c0 = compliance_total(section.equilibrium(), h0, config)
     if not math.isfinite(c0):
-        raise DomainError(f"load {load.value:g} overflows: initial compliance not finite")
+        raise DomainError(f"load {load.value:g} with height0 {float(np.min(h0.values)):g}: "
+                          "initial compliance not finite")
     trace = GrowthTrace(config=config, load=load, tau=tau, mass_mode=mass_mode,
                         ablation=ablation, h0=h0, initial_mass=m0,
                         initial_compliance=c0)

@@ -210,8 +210,9 @@ def _malformed_profile(path: str, exc: ValueError) -> DomainError:
 
 
 def read_profile(directory: str):
-    """Read profile.csv back: (x_centers, {step: heights}).  Every step must
-    have the first step's rows, with the same x in the same order."""
+    """Read profile.csv back as ``write_trace`` writes it: steps 0, 1, ..., S in
+    file order, each with step 0's x in the same order.  Returns (x_centers,
+    {step: heights}), the heights being the rows of one (S + 1, N) array."""
     path = os.path.join(directory, PROFILE_CSV)
     with open(path, "r", newline="") as handle:
         header = handle.readline().strip()
@@ -229,24 +230,24 @@ def read_profile(directory: str):
         raise _malformed_profile(path, exc) from None
     if rows.size == 0:
         raise DomainError(f"{path}: no profile rows")
-    order = np.argsort(rows["step"], kind="stable")
-    step = rows["step"][order]
-    starts = np.flatnonzero(np.diff(step)) + 1
-    firsts = np.r_[0, starts]
+    step = rows["step"]
+    firsts = np.r_[0, np.flatnonzero(step[1:] != step[:-1]) + 1]
+    misplaced = np.flatnonzero(step[firsts] != np.arange(firsts.size))
+    if misplaced.size:
+        k = misplaced[0]
+        raise DomainError(f"{path}: step {step[firsts[k]]} where step {k} should begin; "
+                          "steps must run 0, 1, 2, ... in file order")
     sizes = np.diff(np.r_[firsts, step.size])
     ragged = np.flatnonzero(sizes != sizes[0])
     if ragged.size:
         k = ragged[0]
-        raise DomainError(f"{path}: step {step[firsts[k]]} has {sizes[k]} rows, "
-                          f"step {step[0]} has {sizes[0]}")
-    x_centers = rows["x"][order[:sizes[0]]]
-    for first in starts:
-        x = rows["x"][order[first:first + sizes[0]]]
-        if not np.array_equal(x.view(np.uint64), x_centers.view(np.uint64)):
-            raise DomainError(f"{path}: step {step[first]} has other x-centres "
-                              f"than step {step[0]}")
-    heights = np.split(rows["height"][order], starts)
-    return x_centers, dict(zip(step[firsts].tolist(), heights))
+        raise DomainError(f"{path}: step {k} has {sizes[k]} rows, step 0 has {sizes[0]}")
+    x_bits = rows["x"].view(np.uint64).reshape(firsts.size, sizes[0])
+    mismatched = np.flatnonzero((x_bits != x_bits[0]).any(axis=1))
+    if mismatched.size:
+        raise DomainError(f"{path}: step {mismatched[0]} has other x-centres than step 0")
+    heights = np.ascontiguousarray(rows["height"].reshape(x_bits.shape))
+    return rows["x"][:sizes[0]].copy(), dict(enumerate(heights))
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +348,17 @@ def _escape(text):
 
 
 def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
-    """One SVG per requested step: the filled region {0 <= y <= h_i(x)} plus
-    line overlays of every earlier profile.  Returns the written paths.
+    """One SVG per requested step, ``heights_by_step[k]`` being step k's
+    profile (k = 0..len - 1): the filled region {0 <= y <= h_i(x)} plus line
+    overlays of every earlier profile.  Returns the written paths.
 
     The cell width is 2 * x_centers[0] and the span N times it, so a replot
     from ``profile.csv`` draws the same nodes and ticks as the run did."""
     os.makedirs(directory, exist_ok=True)
-    available = sorted(heights_by_step)
+    count = len(heights_by_step)
     for idx in step_indices:
-        if idx not in heights_by_step:
-            raise DomainError(f"step {idx} not in trace (has {available})")
+        if not 0 <= idx < count:
+            raise DomainError(f"step {idx} not in trace (has steps 0..{count - 1})")
     if not step_indices:
         return []
     overall_max = max(float(np.max(heights_by_step[i])) for i in step_indices)
@@ -367,18 +369,15 @@ def render_profile_svg(x_centers, heights_by_step, step_indices, directory):
     # every step up to the last requested one is drawn, as a fill or an
     # overlay, and each staircase is formatted once and reused by later SVGs
     stair_x = np.repeat(np.arange(n + 1) * width, 2)[1:-1]
-    last = max(step_indices)
-    stairs = {step: frame.points(stair_x, np.repeat(heights_by_step[step], 2))
-              for step in available if step <= last}
+    stairs = [frame.points(stair_x, np.repeat(heights_by_step[step], 2))
+              for step in range(max(step_indices) + 1)]
     left, right = _coord(frame.px(0.0)), _coord(frame.px(n * width))
     base = _coord(frame.py(0.0))
 
     def body(idx):
         yield (f'<polygon points="{left},{base} {stairs[idx]} {right},{base}" '
                'fill="#9ecae1" stroke="none" />')
-        for prev in available:
-            if prev >= idx:
-                break
+        for prev in range(idx):
             yield (f'<polyline points="{stairs[prev]}" fill="none" stroke="#555555" '
                    'stroke-width="1" stroke-dasharray="4 3" />')
         yield (f'<polyline points="{stairs[idx]}" fill="none" stroke="#08519c" '

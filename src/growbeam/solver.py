@@ -47,7 +47,7 @@ BACKTRACK = 0.5          # step shrink factor per backtrack
 @dataclass(frozen=True)
 class SolverOptions:
     tol_kkt: float = 1e-8        # first-order KKT residual, density-gradient scale
-    tol_mass: float = 1e-10      # mass feasibility, relative to the target
+    tol_mass: float = 1e-10      # degenerate-step threshold, relative to the mass target
     max_iter: int = 10_000
 
 

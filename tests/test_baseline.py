@@ -40,6 +40,11 @@ class TestFirstStep:
         with pytest.raises(DomainError):
             gb.solve_baseline_first(paper_config, 0.0, 0.3, 7.5)
 
+    @pytest.mark.parametrize("h0", [0.0, -0.3])
+    def test_height_not_positive(self, paper_config, h0):
+        with pytest.raises(DomainError, match="h0 must be positive"):
+            gb.solve_baseline_first(paper_config, 0.02, h0, 7.5)
+
     def test_growth_interval_is_prefix(self, paper_config):
         sol = gb.solve_baseline_first(paper_config, 0.02, 0.3, 7.5)
         g = sol.growth_set
@@ -47,6 +52,12 @@ class TestFirstStep:
 
 
 class TestStep:
+    def test_growth_without_a_moment(self, paper_config):
+        h_prev = gb.HeightField.constant(paper_config, 0.3)
+        with pytest.raises(DomainError, match="zero bending moment everywhere"):
+            gb.solve_baseline_step(paper_config, gb.LoadCase(gb.LoadKind.UNIFORM, 0.0),
+                                   h_prev, 7.5)
+
     def test_agrees_with_first_step(self, paper_config, uniform_load):
         first = gb.solve_baseline_first(paper_config, 0.02, 0.3, 7.5)
         step = gb.solve_baseline_step(paper_config, uniform_load,

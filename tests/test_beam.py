@@ -54,6 +54,63 @@ def test_config_needs_finite_length_and_modulus(length, young_modulus):
         gb.BeamConfig(length=length, young_modulus=young_modulus, n_cells=10)
 
 
+class TestRefusals:
+    """Each constructor and entry point refuses an input outside its domain
+    with a DomainError that says what is wrong."""
+
+    def test_non_finite_load(self):
+        with pytest.raises(DomainError, match="load value must be finite"):
+            gb.LoadCase(gb.LoadKind.UNIFORM, math.nan)
+
+    def test_no_cells(self):
+        with pytest.raises(DomainError, match="n_cells must be at least 1"):
+            gb.BeamConfig(n_cells=0)
+
+    def test_height_array_of_the_wrong_shape(self, paper_config, uniform_load):
+        with pytest.raises(DomainError,
+                           match=r"height array has shape \(3,\), expected \(200,\)"):
+            gb.solve_baseline_step(paper_config, uniform_load, np.ones(3), 7.5)
+
+    @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2))], ids=["empty", "2-D"])
+    def test_height_field_shape(self, values):
+        with pytest.raises(DomainError, match="height field must be a nonempty 1-D array"):
+            gb.HeightField(values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.3])
+    def test_height_field_values(self, bad):
+        with pytest.raises(DomainError, match="heights must be finite and positive"):
+            gb.HeightField(np.array([0.3, bad]))
+
+    @pytest.mark.parametrize("eps_p, kappa_p", [(math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_prestrain(self, eps_p, kappa_p):
+        with pytest.raises(DomainError, match="prestrain values must be finite"):
+            gb.PrestrainPair(eps_p, kappa_p)
+
+    def test_empty_layer_stack(self):
+        with pytest.raises(DomainError, match="layer stack needs at least the initial height"):
+            gb.LayerStack((), ())
+
+    def test_layer_stack_on_two_grids(self, paper_config):
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        with pytest.raises(DomainError, match="all height fields must share the grid"):
+            gb.LayerStack((h0, gb.HeightField(np.ones(3))), (gb.PrestrainPair(),))
+
+    @pytest.mark.parametrize("eps, kappa", [(np.ones(3), np.ones(4)),
+                                            (np.ones((2, 2)), np.ones((2, 2)))],
+                             ids=["unequal", "2-D"])
+    def test_equilibrium_state_shapes(self, eps, kappa):
+        with pytest.raises(DomainError,
+                           match="eps and kappa must be 1-D arrays of equal length"):
+            gb.EquilibriumState(eps, kappa)
+
+    @pytest.mark.parametrize("x", [-0.1, 20.1])
+    def test_stress_outside_the_beam(self, paper_config, moment_load, x):
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        state = equilibrium_bare(paper_config, moment_load, h0)
+        with pytest.raises(DomainError, match="x outside the beam"):
+            gb.stress_at(state, gb.LayerStack((h0,), ()), paper_config, x, 0.1)
+
+
 class TestBendingMoment:
     def test_vanishes_at_free_end(self, paper_config, uniform_load):
         assert gb.bending_moment(uniform_load, paper_config, 20.0) == 0.0

@@ -94,6 +94,15 @@ class TestRun:
         assert code == 2
         assert "error: load 1e+" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_initial_height_names_load_and_height(self, cfg_file, tmp_path, capsys):
+        code = main(["run", cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 2\n"
+                                     "n_cells = 20\nheight0 = 1e-80\n"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert ("error: load 0.02 with height0 1e-80: initial compliance not finite"
+                in capsys.readouterr().err)
+
     def test_per_step_prestrain_lists(self, cfg_file, tmp_path, monkeypatch):
         traces = []
 
@@ -191,6 +200,17 @@ class TestAnalytic:
         assert code == 2
         assert "error: load 1e+" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_initial_height_names_load_and_height(self, cfg_file, tmp_path, capsys):
+        # at 1e-80 the closed-form density is still finite (about 1e237);
+        # h0^3 underflows to 0 at 1e-110
+        code = main(["analytic", cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 2\n"
+                                          "n_cells = 20\nheight0 = 1e-110\n"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert ("error: load 0.02 with height0 1e-110: initial compliance not finite"
+                in capsys.readouterr().err)
+
     def test_zero_increment(self, cfg_file, tmp_path):
         # m_1 = m0: no cell grows, there is no x_hat, and lambda is the
         # largest marginal gain 36 M^2/(E h0^4) at the first cell
@@ -282,6 +302,27 @@ class TestPlot:
         out = tmp_path / "out"
         main(["run", cfg_file(RUN_CFG), "--output-dir", str(out), "--quiet"])
         assert main(["plot", str(out), "--steps", "42", "--quiet"]) == 2
+
+    def test_negative_step_index(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", cfg_file(RUN_CFG), "--output-dir", str(out), "--quiet"])
+        assert main(["plot", str(out), "--steps", "-1", "--quiet"]) == 2
+        assert "step -1 not in trace (has steps 0..5)" in capsys.readouterr().err
+        assert not (out / "profile_step_-1.svg").exists()
+
+    def test_steps_out_of_file_order_are_refused(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(RUN_CFG), "--output-dir", str(out),
+                     "--quiet"]) == 0
+        csv = out / "profile.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        steps = [lines[1 + 60 * k:61 + 60 * k] for k in range(6)]
+        # steps 2 and 3 trade places: every row is still there
+        steps[2], steps[3] = steps[3], steps[2]
+        csv.write_text(lines[0] + "".join(sum(steps, [])))
+        assert main(["plot", str(out), "--steps", "5", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and "step 3 where step 2 should begin" in err
 
     def test_ragged_profile_is_refused(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -44,6 +44,14 @@ class TestComplianceTotal:
             assert gb.compliance_total(st_, stack.top, config) >= 0.0
 
 
+@pytest.mark.parametrize("h", [0.0, -0.3])
+def test_density_refuses_a_height_that_is_not_positive(h):
+    density = ComplianceDensity.baseline(1.0e5, np.ones(3))
+    for evaluate in (density.value, density.derivative, density.curvature):
+        with pytest.raises(DomainError, match="height must be positive"):
+            evaluate(np.array([0.3, h, 0.3]))
+
+
 class TestDensityBaseline:
     def test_reference(self):
         assert density_baseline(0.3, 20.0, 1.0e5) == pytest.approx(1.77778, rel=1e-5)
@@ -406,14 +414,11 @@ class TestConvexEnvelope:
         second = np.diff(env, 2)
         assert np.min(second) >= -1e-12
 
-    def test_domain_restriction(self):
-        x = np.linspace(0.0, 10.0, 101)
-        y = np.cos(x)
-        xs, env = gb.convex_envelope_1d(x, y, domain=(2.0, 8.0))
-        assert xs[0] >= 2.0 and xs[-1] <= 8.0
-        assert env.shape == xs.shape
-
     def test_input_errors(self):
+        with pytest.raises(DomainError, match="x and y must be 1-D arrays of equal length"):
+            gb.convex_envelope_1d(np.arange(4.0), np.arange(3.0))
+        with pytest.raises(DomainError, match="x and y must be 1-D arrays of equal length"):
+            gb.convex_envelope_1d(np.ones((3, 3)), np.ones((3, 3)))
         with pytest.raises(DomainError):
             gb.convex_envelope_1d(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(DomainError):

@@ -59,6 +59,18 @@ class TestParse:
             parse_config("load.kind uniform\n")
         assert err.value.line == 1 and err.value.column == 1
 
+    def test_bad_boolean(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "ablation = maybe\n")
+        assert "invalid value for 'ablation': not a boolean: 'maybe'" in str(err.value)
+        assert (err.value.line, err.value.column) == (5, 12)
+
+    def test_missing_key(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "= 5\n")
+        assert "missing key before '='" in str(err.value)
+        assert (err.value.line, err.value.column) == (5, 1)
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config("steps = soon\n")

@@ -306,6 +306,15 @@ class TestRenderSvg:
             render_profile_svg(run_trace.config.x_centers, heights, [99],
                                str(tmp_path))
 
+    @pytest.mark.parametrize("idx", [-1, -11, 11])
+    def test_index_outside_the_list_is_refused(self, run_trace, tmp_path, idx):
+        # a list would otherwise draw step 10 for -1
+        message = rf"step {idx} not in trace \(has steps 0\.\.10\)"
+        with pytest.raises(DomainError, match=message):
+            render_profile_svg(run_trace.config.x_centers, run_trace.heights_by_step(),
+                               [idx], str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("bounds", [(0.0, 20.0, 0.0, 1.7), (1.0, 6.0, -3.2, 0.4),
                                         (0.0, 1e-3, 5.0, 5.0)])
     def test_frame_points_match_scalar_mapping(self, bounds):
@@ -455,11 +464,31 @@ class TestReadProfile:
             read_profile(str(tmp_path))
 
     def test_steps_grouped_in_step_order(self, tmp_path):
+        # every row of a 2-cell, 3-step profile, but not in write_trace's
+        # layout: refused, not sorted
         self._write(tmp_path, ["2,0.5,3.0", "0,0.5,1.0", "2,1.5,3.5",
                                "1,0.5,2.0", "0,1.5,1.5", "1,1.5,2.5"])
+        with pytest.raises(DomainError, match=r"profile\.csv: step 2 where step 0 should "
+                                              r"begin; steps must run 0, 1, 2, \.\.\. in "
+                                              r"file order"):
+            read_profile(str(tmp_path))
+
+    @pytest.mark.parametrize("steps, first_bad", [
+        ([1, 1, 2, 2], "step 1 where step 0"),
+        ([0, 0, 2, 2], "step 2 where step 1"),
+        ([0, 0, 1, 1, 0, 0], "step 0 where step 2"),
+    ], ids=["first-step-not-0", "skipped-step", "step-repeated"])
+    def test_misplaced_step_is_named(self, tmp_path, steps, first_bad):
+        self._write(tmp_path, [f"{s},{0.5 + k % 2},0.3" for k, s in enumerate(steps)])
+        with pytest.raises(DomainError, match=first_bad):
+            read_profile(str(tmp_path))
+
+    def test_heights_are_rows_of_one_array(self, run_trace, tmp_path):
+        write_trace(run_trace, str(tmp_path))
         x_centers, steps = read_profile(str(tmp_path))
-        assert list(steps) == [0, 1, 2]
+        assert list(steps) == list(range(11))
         assert all(type(k) is int for k in steps)
-        np.testing.assert_array_equal(x_centers, [0.5, 1.5])
-        for k, expected in enumerate(([1.0, 1.5], [2.0, 2.5], [3.0, 3.5])):
-            np.testing.assert_array_equal(steps[k], expected)
+        block = steps[0].base
+        assert block.shape == (11, run_trace.config.n_cells) and block.flags.c_contiguous
+        assert all(steps[k].base is block for k in steps)
+        assert x_centers.flags.c_contiguous and x_centers.base is None

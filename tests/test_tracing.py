@@ -68,3 +68,20 @@ def test_analytic_is_traced(spans, tmp_path):
     assert metrics["compliance.density_build_s"] > 0
     assert metrics["baseline.solve_baseline_step_s"] > 0
     assert metrics["compliance.density_value_calls"] > 0
+
+
+def test_plot_is_traced(spans, tmp_path):
+    # kappa_replot's per-layer metrics of the plot subcommand
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("load.kind = uniform\nload.value = 0.02\nsteps = 3\n"
+                   "mass.increment = 0.6\nn_cells = 40\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    recorder = spans.Recorder()
+    with spans.Patched(recorder) as patched:
+        assert cli.main(["plot", str(out), "--steps", "0", "3", "--output-dir",
+                         str(tmp_path / "plots"), "--quiet"]) == 0
+    metrics = spans.layer_metrics(recorder.spans, patched.missing)
+    assert metrics["output.read_profile_s"] > 0
+    assert metrics["output.render_profile_svg_s"] > 0
+    assert metrics["output.svg_bytes"] > 0
