@@ -10,10 +10,8 @@ from .compliance import (ComplianceDensity, compliance_total,
                          convex_envelope_1d, f_second, f_value, g_second,
                          g_value)
 from .config import RunConfig, parse_config
-from .errors import (ConfigError, ConvergenceError, DegenerateSectionError,
-                     DomainError, InfeasibleError)
-from .growth import (GrowthTrace, MassSchedule, StepRecord, run_growth,
-                     stationarity_report)
+from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
+from .growth import GrowthTrace, MassSchedule, StepRecord, run_growth
 from .output import read_profile, render_curve_svg, render_profile_svg, write_trace
 from .solver import (MassMode, SolverOptions, StepProblem, StepSolution,
                      kkt_residual, minimize_step)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSectionError, DomainError
+from .errors import DomainError
 
 
 class LoadKind(enum.Enum):
@@ -251,10 +251,10 @@ def solve_section(h_top, a, b_pre, moment, young_modulus):
 
     Force balance:   eps*h + kappa*h^2/2            = A
     Moment balance:  eps*h^2/2 + kappa*h^3/3        = B_pre - M/E
+
+    ``h_top`` is a HeightField's values, so every height is positive.
     """
     h = np.asarray(h_top, dtype=float)
-    if np.any(h <= 0):
-        raise DegenerateSectionError("section height must be positive")
     rhs = b_pre - np.asarray(moment, dtype=float) / young_modulus
     eps = (4.0 * a * h - 6.0 * rhs) / h**2
     kappa = (12.0 * rhs - 6.0 * a * h) / h**3

@@ -22,7 +22,7 @@ from .compliance import (ComplianceDensity, convex_envelope_1d, f_second,
                          f_value, g_second, g_value)
 from .config import parse_config
 from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
-from .growth import GrowthTrace, StepRecord, run_growth
+from .growth import GrowthTrace, StepRecord, _require_finite, run_growth
 from .output import (read_profile, render_curve_svg, render_profile_svg,
                      write_csv, write_json, write_trace)
 
@@ -77,27 +77,27 @@ def _cmd_analytic(args) -> int:
     with np.errstate(all="ignore"):
         density = ComplianceDensity.baseline(config.young_modulus, m_centers)
         c0 = config.delta * float(np.sum(density.value(h0.values)))
-    if not math.isfinite(c0):
-        raise DomainError(f"load {load.value:g} with height0 {float(np.min(h0.values)):g}: "
-                          "initial compliance not finite")
+    _require_finite(c0, "initial compliance", load, h0)
 
     trace = GrowthTrace(config=config, load=load, tau=rc.tau, mass_mode=rc.mode(),
                         ablation=False, h0=h0, initial_mass=m0, initial_compliance=c0)
     analytic_rows = []
     h_prev = h0
     for i, m_i in enumerate(targets, start=1):
-        sol = solve_baseline_step(config, load, h_prev, float(m_i))
+        x_hat = None
+        with np.errstate(all="ignore"):
+            sol = solve_baseline_step(config, load, h_prev, float(m_i))
+            if i == 1 and load.kind is LoadKind.UNIFORM:
+                try:
+                    x_hat = solve_baseline_first(config, load.value,
+                                                 float(h0.values[0]), float(m_i)).x_hat
+                except InfeasibleError:
+                    pass
+        _require_finite(sol.lam, "multiplier", load, h0)
         h = sol.h.values
         grown = sol.growth_set
         stat = float(np.max(np.abs(36.0 * m_centers[grown] ** 2 / (
             config.young_modulus * h[grown] ** 4) - sol.lam), initial=0.0))
-        x_hat = None
-        if i == 1 and load.kind is LoadKind.UNIFORM and np.ptp(h0.values) == 0.0:
-            try:
-                x_hat = solve_baseline_first(config, load.value,
-                                             float(h0.values[0]), float(m_i)).x_hat
-            except InfeasibleError:
-                x_hat = None
         inc = h - h_prev.values
         trace.records.append(StepRecord(
             index=i, h=sol.h, mass=sol.h.mass(config),
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, InfeasibleError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -5,11 +5,7 @@ class DomainError(ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
-class DegenerateSectionError(DomainError):
-    """Cross-section has zero height; the equilibrium system is singular."""
-
-
-class InfeasibleError(ValueError):
+class InfeasibleError(DomainError):
     """The constraint set of an optimization problem is empty."""
 
 

@@ -68,11 +68,11 @@ class StepProblem:
             raise InfeasibleError("tau must be positive (math.inf allowed)")
         if not math.isfinite(self.mass_target):
             raise DomainError(f"mass target must be finite (got {self.mass_target})")
+        # in both mass modes the budget must cover the lower bound's mass
         lb_mass = self.config.delta * float(np.sum(self.lower_bound.values))
-        if self.mass_mode is MassMode.EQUALITY:
-            if self.mass_target < lb_mass - 1e-9 * max(1.0, abs(self.mass_target)):
-                raise InfeasibleError(
-                    f"mass target {self.mass_target} below the lower-bound mass {lb_mass}")
+        if self.mass_target < lb_mass - 1e-9 * max(1.0, abs(self.mass_target)):
+            raise InfeasibleError(
+                f"mass target {self.mass_target} below the lower-bound mass {lb_mass}")
 
 
 @dataclass
@@ -117,10 +117,7 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
             return h, 0.0
     target = mass / delta
     base = float(np.sum(lb))
-    if target < base - 1e-9 * max(1.0, abs(target)):
-        raise InfeasibleError(
-            f"mass {mass} infeasible for the lower bound (needs >= {base * delta})")
-    if target <= base:
+    if target <= base:   # StepProblem refuses a budget below the bound's mass
         return lb.copy(), float(np.max((z - lb) / w))
 
     excess = target - base

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growbeam as gb
-from growbeam.errors import DegenerateSectionError, DomainError
+from growbeam.errors import DomainError
 from tests.conftest import random_stack
 from tests.oracles import equilibrium_bare, equilibrium_one_layer
 
@@ -229,12 +229,6 @@ class TestEquilibriumGeneral:
         b = equilibrium_bare(paper_config, moment_load, h2)
         np.testing.assert_allclose(a.eps, b.eps, rtol=1e-12)
         np.testing.assert_allclose(a.kappa, b.kappa, rtol=1e-12)
-
-    def test_degenerate_section(self):
-        from growbeam.beam import solve_section
-        with pytest.raises(DegenerateSectionError):
-            solve_section(np.array([0.0]), np.array([0.0]), np.array([0.0]),
-                          np.array([1.0]), 1.0e5)
 
     @pytest.mark.parametrize("n_layers", [1, 3, 6])
     def test_balance_residuals(self, rng, uniform_load, n_layers):

@@ -103,6 +103,16 @@ class TestRun:
         assert ("error: load 0.02 with height0 1e-80: initial compliance not finite"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mode", ["equality", "inequality"])
+    def test_first_target_below_initial_mass(self, cfg_file, tmp_path, capsys, mode):
+        # m0 = 6.0; the first step's lower bound is h0, so its mass is m0
+        code = main(["run", cfg_file("load.kind = uniform\nload.value = 0.02\n"
+                                     f"steps = 2\nmass.targets = 5.0, 6.6\nmass.mode = {mode}\n"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: mass target 5.0 below the lower-bound mass" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_per_step_prestrain_lists(self, cfg_file, tmp_path, monkeypatch):
         traces = []
 
@@ -210,6 +220,20 @@ class TestAnalytic:
         assert code == 2
         assert ("error: load 0.02 with height0 1e-110: initial compliance not finite"
                 in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_multiplier_exit_code(self, cfg_file, tmp_path, capsys):
+        # at 1e-80 the initial compliance is finite but 36 M^2/(E h^4) is not
+        out = tmp_path / "out"
+        code = main(["analytic", cfg_file("load.kind = uniform\nload.value = 0.02\nsteps = 2\n"
+                                          "n_cells = 20\nheight0 = 1e-80\n"),
+                     "--output-dir", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert ("error: load 0.02 with height0 1e-80: multiplier not finite"
+                in captured.err)
+        assert "lambda" not in captured.out
+        assert not (out / "analytic.json").exists()
 
     def test_zero_increment(self, cfg_file, tmp_path):
         # m_1 = m0: no cell grows, there is no x_hat, and lambda is the

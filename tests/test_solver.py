@@ -99,10 +99,6 @@ class TestProjection:
         out = _project_shift(np.array([0.5, 0.1]), np.array([0.3, 0.3]), 0.9, 1.0)[0]
         np.testing.assert_allclose(out, [0.6, 0.3], atol=1e-14)
 
-    def test_infeasible_mass(self):
-        with pytest.raises(InfeasibleError):
-            _project_shift(np.array([0.5, 0.5]), np.array([0.3, 0.3]), 0.5, 1.0)
-
     def test_matches_bruteforce(self, rng):
         for _ in range(200):
             n = int(rng.integers(2, 9))
@@ -497,9 +493,11 @@ class TestKKTResidual:
 
 class TestStepProblemValidation:
     def test_mass_below_lower_bound(self, paper_config, uniform_load):
+        # an at-most budget below the bound's mass leaves no feasible point either
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        with pytest.raises(InfeasibleError):
-            baseline_problem(paper_config, uniform_load, h0, 5.0)
+        for mode in gb.MassMode:
+            with pytest.raises(InfeasibleError, match="below the lower-bound mass"):
+                baseline_problem(paper_config, uniform_load, h0, 5.0, mode=mode)
 
     @pytest.mark.parametrize("mass", [math.inf, math.nan])
     def test_non_finite_mass_target(self, paper_config, uniform_load, mass):
@@ -511,3 +509,37 @@ class TestStepProblemValidation:
         h0 = gb.HeightField.constant(paper_config, 0.3)
         with pytest.raises(InfeasibleError):
             baseline_problem(paper_config, uniform_load, h0, 7.5, tau=0.0)
+
+
+def replayed_iterations(text):
+    """Iterations of each step of a config's run: the counts are
+    deterministic, so each recorded step's problem is solved again."""
+    rc = parse_config(text)
+    options = rc.solver_options()
+    trace = gb.run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
+                          rc.schedule(), rc.prestrains(), tau=rc.tau,
+                          mass_mode=rc.mode(), options=options)
+    counts = []
+    for record, problem in zip(trace.records, trace.problems):
+        sol = gb.minimize_step(problem, options)
+        np.testing.assert_array_equal(sol.h.values, record.h.values)
+        counts.append(sol.iterations)
+    return counts
+
+
+class TestIterationCounts:
+    @pytest.mark.parametrize("name", ["baseline", "parabolic_kappa_plus"])
+    def test_mesh_independent(self, name):
+        # measured totals at N = 200 / 2e3 / 2e4: 38 / 41 / 41 and 27 / 27 / 27
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        totals = [sum(replayed_iterations(text + f"n_cells = {n}\n"))
+                  for n in (200, 2000, 20_000)]
+        assert min(totals) > 0
+        assert max(totals) <= 1.1 * min(totals), totals
+
+    def test_flat_over_a_long_run(self):
+        # a long constant-moment run: the later steps take no more iterations
+        counts = replayed_iterations("load.kind = moment\nload.value = 20\nsteps = 200\n"
+                                     "mass.increment = 0.6\nprestrain.eps = 0.01\n"
+                                     "n_cells = 500\n")
+        assert max(counts[100:]) <= max(counts[:100]), counts
