@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam import BeamConfig, HeightField, LoadCase, _as_values, bending_moment
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def solve_baseline_first(config: BeamConfig, p: float, h0: float, m1: float) -> 
     ell = config.length
     m0 = h0 * ell
     if m1 <= m0:
-        raise InfeasibleError(f"m1 = {m1} adds no mass over m0 = {m0}")
+        raise DomainError(f"m1 = {m1} adds no mass over m0 = {m0}")
     root = np.sqrt(m1**2 - m0**2)
     slope = (m1 + root) / ell**2                  # (9 p^2 / (E lam))^(1/4)
     lam = 9.0 * p**2 / (config.young_modulus * slope**4)
@@ -79,7 +79,7 @@ def solve_baseline_step(config: BeamConfig, load: LoadCase, h_prev,
     mass_prev = delta * float(np.sum(hp))
     tol = 1e-14 * max(1.0, abs(m_i))
     if m_i < mass_prev - 1e-9 * max(1.0, abs(m_i)):
-        raise InfeasibleError(f"m_i = {m_i} below the current mass {mass_prev}")
+        raise DomainError(f"m_i = {m_i} below the current mass {mass_prev}")
     if m_i <= mass_prev + tol:
         # Nothing grows; the smallest dual-feasible multiplier certifies it.
         lam = float(np.max(36.0 * m2 / (e * hp**4)))

@@ -21,10 +21,11 @@ from .beam import LoadKind, bending_moment
 from .compliance import (ComplianceDensity, convex_envelope_1d, f_second,
                          f_value, g_second, g_value)
 from .config import parse_config
-from .errors import ConfigError, ConvergenceError, DomainError, InfeasibleError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .growth import GrowthTrace, StepRecord, _require_finite, run_growth
 from .output import (read_profile, render_curve_svg, render_profile_svg,
                      write_csv, write_json, write_trace)
+from .solver import StepProblem, StepSolution, kkt_residual
 
 
 def _load_config(path: str):
@@ -73,9 +74,9 @@ def _cmd_analytic(args) -> int:
     h0 = rc.initial_height()
     m0 = h0.mass(config)
     targets = rc.schedule().targets(m0, rc.steps)
-    m_centers = bending_moment(load, config, config.x_centers)
     with np.errstate(all="ignore"):
-        density = ComplianceDensity.baseline(config.young_modulus, m_centers)
+        density = ComplianceDensity.baseline(
+            config.young_modulus, bending_moment(load, config, config.x_centers))
         c0 = config.delta * float(np.sum(density.value(h0.values)))
     _require_finite(c0, "initial compliance", load, h0)
 
@@ -84,27 +85,22 @@ def _cmd_analytic(args) -> int:
     analytic_rows = []
     h_prev = h0
     for i, m_i in enumerate(targets, start=1):
+        problem = StepProblem(density=density, h_prev=h_prev, mass_target=float(m_i),
+                              tau=rc.tau, mass_mode=rc.mode(), lower_bound=h_prev,
+                              config=config)
         x_hat = None
         with np.errstate(all="ignore"):
-            sol = solve_baseline_step(config, load, h_prev, float(m_i))
-            if i == 1 and load.kind is LoadKind.UNIFORM:
-                try:
-                    x_hat = solve_baseline_first(config, load.value,
-                                                 float(h0.values[0]), float(m_i)).x_hat
-                except InfeasibleError:
-                    pass
+            sol = solve_baseline_step(config, load, h_prev, problem.mass_target)
+            if i == 1 and load.kind is LoadKind.UNIFORM and sol.growth_set.any():
+                x_hat = solve_baseline_first(config, load.value, float(h0.values[0]),
+                                             problem.mass_target).x_hat
         _require_finite(sol.lam, "multiplier", load, h0)
-        h = sol.h.values
-        grown = sol.growth_set
-        stat = float(np.max(np.abs(36.0 * m_centers[grown] ** 2 / (
-            config.young_modulus * h[grown] ** 4) - sol.lam), initial=0.0))
-        inc = h - h_prev.values
-        trace.records.append(StepRecord(
-            index=i, h=sol.h, mass=sol.h.mass(config),
-            compliance=config.delta * float(np.sum(density.value(h))),
-            objective=0.0, lam=sol.lam,
-            growth_fraction=float(np.mean(sol.growth_set)),
-            max_increment=float(np.max(inc)), kkt_residual=stat))
+        # the closed form takes no iterations; with tau = inf the objective
+        # is the compliance
+        compliance = config.delta * float(np.sum(density.value(sol.h.values)))
+        step = StepSolution(sol.h, sol.lam, compliance,
+                            kkt_residual(problem, sol.h, sol.lam), 0, 0)
+        trace.records.append(StepRecord.of(i, problem, step, compliance))
         analytic_rows.append({"step": i, "lambda": sol.lam, "x_hat": x_hat})
         _say(args, f"step {i}: lambda {sol.lam:.10g}"
                    + (f"  x_hat {x_hat:.6g}" if x_hat is not None else ""))

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
-class InfeasibleError(DomainError):
-    """The constraint set of an optimization problem is empty."""
-
-
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance.
 

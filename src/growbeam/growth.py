@@ -14,7 +14,8 @@ from .beam import (BeamConfig, EquilibriumState, HeightField, LoadCase,
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
-from .solver import TOL_ACTIVE, MassMode, SolverOptions, StepProblem, minimize_step
+from .solver import (TOL_ACTIVE, MassMode, SolverOptions, StepProblem, StepSolution,
+                     minimize_step)
 
 ABLATION_FLOOR_FRACTION = 1e-3  # lower bound 1e-3 * h0 when ablation is on
 
@@ -47,18 +48,26 @@ class MassSchedule:
         return np.asarray(self.values)
 
 
-@dataclass
-class StepRecord:
+@dataclass(kw_only=True)
+class StepRecord(StepSolution):
+    """A solved step with its bookkeeping: the step's index, and the mass,
+    compliance, share of grown cells and largest increment of its profile."""
+
     index: int
-    h: HeightField
     mass: float
     compliance: float
-    objective: float
-    lam: float
     growth_fraction: float
     max_increment: float
-    kkt_residual: float
-    degenerate: bool = False
+
+    @classmethod
+    def of(cls, index: int, problem: StepProblem, solution: StepSolution,
+           compliance: float) -> "StepRecord":
+        """Record ``solution`` of ``problem`` as step ``index``; a cell has
+        grown when it rose more than TOL_ACTIVE above ``problem.h_prev``."""
+        inc = solution.h.values - problem.h_prev.values
+        return cls(**vars(solution), index=index, mass=solution.h.mass(problem.config),
+                   compliance=compliance, growth_fraction=float(np.mean(inc > TOL_ACTIVE)),
+                   max_increment=float(np.max(inc)))
 
 
 @dataclass
@@ -185,20 +194,9 @@ def run_growth(config: BeamConfig, load: LoadCase, h0, schedule: MassSchedule,
             err.partial_trace = trace
             raise
 
-        inc = sol.h.values - section.top.values
         section.deposit(problem.density, sol.h, pre)
         trace.prestrains.append(pre)
         trace.mass_targets.append(float(m_i))
-        trace.records.append(StepRecord(
-            index=i,
-            h=sol.h,
-            mass=sol.h.mass(config),
-            compliance=compliance_total(section.equilibrium(), sol.h, config),
-            objective=sol.objective,
-            lam=sol.lam,
-            growth_fraction=float(np.mean(inc > TOL_ACTIVE)),
-            max_increment=float(np.max(inc)),
-            kkt_residual=sol.kkt_residual,
-            degenerate=sol.degenerate,
-        ))
+        trace.records.append(StepRecord.of(
+            i, problem, sol, compliance_total(section.equilibrium(), sol.h, config)))
     return trace

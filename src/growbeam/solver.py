@@ -31,7 +31,7 @@ import numpy as np
 
 from .beam import BeamConfig, HeightField, _as_values
 from .compliance import ComplianceDensity
-from .errors import ConvergenceError, DomainError, InfeasibleError
+from .errors import ConvergenceError, DomainError
 
 
 class MassMode(enum.Enum):
@@ -65,13 +65,13 @@ class StepProblem:
 
     def __post_init__(self):
         if not (self.tau > 0):
-            raise InfeasibleError("tau must be positive (math.inf allowed)")
+            raise DomainError("tau must be positive (math.inf allowed)")
         if not math.isfinite(self.mass_target):
             raise DomainError(f"mass target must be finite (got {self.mass_target})")
         # in both mass modes the budget must cover the lower bound's mass
         lb_mass = self.config.delta * float(np.sum(self.lower_bound.values))
         if self.mass_target < lb_mass - 1e-9 * max(1.0, abs(self.mass_target)):
-            raise InfeasibleError(
+            raise DomainError(
                 f"mass target {self.mass_target} below the lower-bound mass {lb_mass}")
 
 
@@ -82,6 +82,7 @@ class StepSolution:
     objective: float
     kkt_residual: float
     iterations: int
+    backtracks: int      # alpha *= BACKTRACK steps over all iterations
     degenerate: bool = False
 
 
@@ -97,10 +98,10 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
     decreasing phi(t) = sum max(0, y - t w) - excess, y = z - lb: the shift
     t(S) = (sum_S y - excess) / sum_S w of the set S = {y > t w}.
 
-    With array weights and a start shift ``t0`` it first takes one Newton
-    step on phi from t0, which is t(S) for the set S at t0 (Cominetti,
-    Mascarenhas & Silva, Math. Prog. Comp. 2014); if the set at t(S) is S
-    again, t(S) is the root.  Otherwise Michelot's active-set iteration
+    With a start shift ``t0`` it first takes one Newton step on phi from
+    t0, which is t(S) for the set S at t0 (Cominetti, Mascarenhas & Silva,
+    Math. Prog. Comp. 2014); if the set at t(S) is S again, t(S) is the
+    root.  Otherwise Michelot's active-set iteration
     (Condat, Math. Prog. 2016, Sec. 3), Newton from the left, runs from the
     set at t(S), or from every cell without ``t0`` or when the set at t0 is
     empty or every cell: recompute t on the kept cells and keep those with
@@ -111,6 +112,7 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
+    w = np.broadcast_to(np.asarray(w, dtype=float), z.shape)
     if at_most:
         h = np.maximum(lb, z)
         if delta * float(np.sum(h)) <= mass:
@@ -122,7 +124,7 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
 
     excess = target - base
     kept, w_kept = z - lb, w
-    if t0 is not None and np.ndim(w):
+    if t0 is not None:
         # One Newton step on the convex, decreasing phi(t) from t0 lands at
         # or left of the root; an empty or full set at t0 starts cold.
         guess = kept > t0 * w
@@ -134,17 +136,14 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
             if mask.any():
                 kept, w_kept = kept[mask], w[mask]
     while True:
-        w_sum = float(np.sum(w_kept)) if np.ndim(w) else w * kept.size
-        t = (float(np.sum(kept)) - excess) / w_sum
+        t = (float(np.sum(kept)) - excess) / float(np.sum(w_kept))
         mask = kept > t * w_kept
         above = kept[mask]
         # An empty set means the excess is below the rounding of the sum:
         # every cell is then pinned at this t.
         if above.size in (0, kept.size):
             break
-        kept = above
-        if np.ndim(w):
-            w_kept = w_kept[mask]
+        kept, w_kept = above, w_kept[mask]
     return np.maximum(lb, z - t * w), t
 
 
@@ -215,11 +214,13 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             val += 0.5 / tau * float(np.sum((h - h_prev) ** 2))
         return delta * val
 
-    def not_converged(why=""):   # at the current iterate
-        best = StepSolution(HeightField(h), float(lam), obj, res, it, degenerate)
+    def current():   # the solution at the current iterate
+        return StepSolution(HeightField(h), float(lam), obj, res, it, backtracks, degenerate)
+
+    def not_converged(why=""):
         return ConvergenceError(
             f"projected Newton did not reach tol_kkt={options.tol_kkt} "
-            f"in {it} iterations (residual {res:.3e}){why}", best=best)
+            f"in {it} iterations (residual {res:.3e}){why}", best=current())
 
     # Singleton feasible set: the mass budget equals the lower-bound mass, so
     # the only feasible point is lb itself.
@@ -234,6 +235,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
     if degenerate and at_most:   # the budget binds if a unit step from lb leaves it
         _, shift = projection(h - delta * q)
     floor_step = False
+    backtracks = 0
 
     for it in range(options.max_iter + 1):
         free = h > lb + TOL_ACTIVE
@@ -242,7 +244,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             lam = max(lam, 0.0) if shift > 0.0 else 0.0
         res = _defect(q, free, lam)
         if res <= options.tol_kkt:
-            return StepSolution(HeightField(h), float(lam), obj, res, it, degenerate)
+            return current()
         if it == options.max_iter:
             raise not_converged()
         if floor_step and res >= r_prev:
@@ -266,6 +268,7 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
             if -g_dot_d <= noise:
                 raise not_converged("; no decrease above rounding along the step")
             alpha *= BACKTRACK
+            backtracks += 1
 
         h, shift, obj = h_new, shift_new, obj_new
         floor_step, r_prev = -g_dot_d <= noise, res

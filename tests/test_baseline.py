@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import growbeam as gb
-from growbeam.errors import DomainError, InfeasibleError
+from growbeam.errors import DomainError
 from tests.oracles import baseline_mass
 
 
@@ -33,7 +33,7 @@ class TestFirstStep:
         assert np.max(np.abs(sol.h.values - 0.3)) <= 1e-5
 
     def test_no_growth_error(self, paper_config):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(DomainError, match="adds no mass over m0"):
             gb.solve_baseline_first(paper_config, 0.02, 0.3, 6.0)
 
     def test_zero_load_error(self, paper_config):
@@ -135,7 +135,7 @@ class TestStep:
         assert not np.any(sol.growth_set)
 
     def test_infeasible_mass(self, paper_config, uniform_load):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(DomainError, match="below the current mass"):
             gb.solve_baseline_step(paper_config, uniform_load,
                                    gb.HeightField.constant(paper_config, 0.3), 5.0)
 

@@ -246,6 +246,47 @@ class TestAnalytic:
         assert step["x_hat"] is None
         assert step["lambda"] == pytest.approx(0.7040266, rel=1e-7)
 
+    def test_zero_load_zero_increment(self, cfg_file, tmp_path):
+        # nothing grows, so there is no x_hat to compute; run solves it too
+        cfg = cfg_file("load.kind = uniform\nload.value = 0\nsteps = 1\n"
+                       "mass.targets = 6.0\n")
+        for command in ("analytic", "run"):
+            out = tmp_path / command
+            assert main([command, cfg, "--output-dir", str(out), "--quiet"]) == 0
+        step = json.loads((tmp_path / "analytic" / "analytic.json").read_text())["steps"][0]
+        assert step["x_hat"] is None
+        assert step["lambda"] == 0.0
+
+    def test_first_target_below_initial_mass(self, cfg_file, tmp_path, capsys):
+        # the step problem refuses the budget with run's message
+        out = tmp_path / "out"
+        code = main(["analytic", cfg_file("load.kind = uniform\nload.value = 0.02\n"
+                                          "steps = 1\nmass.targets = 5.0\n"),
+                     "--output-dir", str(out)])
+        assert code == 2
+        assert "error: mass target 5.0 below the lower-bound mass" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_follows_the_record_definitions(self, tmp_path):
+        # kkt_residual and growth_fraction of summary.json are run's, worked
+        # out on the step problem of the closed-form step
+        path = CONFIGS / "analytic_first_step.cfg"
+        rc = gb.parse_config(path.read_text())
+        config = rc.beam_config()
+        assert main(["analytic", str(path), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        step = json.loads((tmp_path / "summary.json").read_text())["steps"][0]
+        _, heights = gb.read_profile(str(tmp_path))
+        h0, h1 = heights[0], heights[1]
+        density = gb.ComplianceDensity.baseline(
+            config.young_modulus, gb.bending_moment(rc.load_case(), config, config.x_centers))
+        h_prev = gb.HeightField(h0)
+        problem = gb.StepProblem(density=density, h_prev=h_prev, mass_target=7.5,
+                                 tau=rc.tau, mass_mode=rc.mode(), lower_bound=h_prev,
+                                 config=config)
+        assert step["kkt_residual"] == gb.kkt_residual(problem, h1, step["lambda"])
+        assert step["growth_fraction"] == float(np.mean(h1 - h0 > gb.solver.TOL_ACTIVE))
+        assert 0.0 < step["growth_fraction"] < 1.0
+
     def test_compliance_agrees_with_run_and_oracle(self, tmp_path):
         path = CONFIGS / "analytic_first_step.cfg"
         rc = gb.parse_config(path.read_text())

@@ -67,7 +67,8 @@ def _trace_of(config, heights_by_step):
     for i, h in enumerate(heights_by_step[1:], start=1):
         trace.records.append(gb.StepRecord(
             index=i, h=gb.HeightField(h), mass=0.0, compliance=0.0, objective=0.0,
-            lam=0.0, growth_fraction=0.0, max_increment=0.0, kkt_residual=0.0))
+            lam=0.0, growth_fraction=0.0, max_increment=0.0, kkt_residual=0.0,
+            iterations=0, backtracks=0))
     return trace
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import growbeam as gb
 from growbeam.compliance import ComplianceDensity
 from growbeam.config import parse_config
-from growbeam.errors import ConvergenceError, DomainError, InfeasibleError
+from growbeam.errors import ConvergenceError, DomainError
 from growbeam.solver import TOL_ACTIVE, _project_shift
 
 
@@ -233,26 +233,23 @@ def test_projection_optimality_property(n, seed):
         assert np.sum((h - z) ** 2) <= np.sum((u - z) ** 2) + 1e-9
 
 
+def run_config(text):
+    rc = parse_config(text)
+    return gb.run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
+                         rc.schedule(), rc.prestrains(), tau=rc.tau,
+                         mass_mode=rc.mode(), ablation=rc.ablation,
+                         options=rc.solver_options())
+
+
 def test_warm_started_run_matches_cold_started_run(monkeypatch):
     # baseline.cfg at N = 2e4, where the warm start saves most passes: the
     # run with every projection started cold gives the same bits
     text = (CONFIGS / "baseline.cfg").read_text() + "n_cells = 20000\n"
-    rc = parse_config(text)
 
     def run():
-        iterations = []
-
-        def counted(problem, options=None):
-            sol = gb.solver.minimize_step(problem, options)
-            iterations.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(gb.growth, "minimize_step", counted)
-        trace = gb.run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
-                              rc.schedule(), rc.prestrains(), tau=rc.tau,
-                              mass_mode=rc.mode(), options=rc.solver_options())
+        trace = run_config(text)
         return (np.array(trace.heights_by_step()), [r.lam for r in trace.records],
-                iterations)
+                [(r.iterations, r.backtracks) for r in trace.records])
 
     warm_starts = []
 
@@ -496,7 +493,7 @@ class TestStepProblemValidation:
         # an at-most budget below the bound's mass leaves no feasible point either
         h0 = gb.HeightField.constant(paper_config, 0.3)
         for mode in gb.MassMode:
-            with pytest.raises(InfeasibleError, match="below the lower-bound mass"):
+            with pytest.raises(DomainError, match="below the lower-bound mass"):
                 baseline_problem(paper_config, uniform_load, h0, 5.0, mode=mode)
 
     @pytest.mark.parametrize("mass", [math.inf, math.nan])
@@ -507,24 +504,13 @@ class TestStepProblemValidation:
 
     def test_nonpositive_tau(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(DomainError, match="tau must be positive"):
             baseline_problem(paper_config, uniform_load, h0, 7.5, tau=0.0)
 
 
-def replayed_iterations(text):
-    """Iterations of each step of a config's run: the counts are
-    deterministic, so each recorded step's problem is solved again."""
-    rc = parse_config(text)
-    options = rc.solver_options()
-    trace = gb.run_growth(rc.beam_config(), rc.load_case(), rc.initial_height(),
-                          rc.schedule(), rc.prestrains(), tau=rc.tau,
-                          mass_mode=rc.mode(), options=options)
-    counts = []
-    for record, problem in zip(trace.records, trace.problems):
-        sol = gb.minimize_step(problem, options)
-        np.testing.assert_array_equal(sol.h.values, record.h.values)
-        counts.append(sol.iterations)
-    return counts
+def recorded_iterations(text):
+    """Iterations of each step of a config's run, as its records carry them."""
+    return [r.iterations for r in run_config(text).records]
 
 
 class TestIterationCounts:
@@ -532,14 +518,44 @@ class TestIterationCounts:
     def test_mesh_independent(self, name):
         # measured totals at N = 200 / 2e3 / 2e4: 38 / 41 / 41 and 27 / 27 / 27
         text = (CONFIGS / f"{name}.cfg").read_text()
-        totals = [sum(replayed_iterations(text + f"n_cells = {n}\n"))
+        totals = [sum(recorded_iterations(text + f"n_cells = {n}\n"))
                   for n in (200, 2000, 20_000)]
         assert min(totals) > 0
         assert max(totals) <= 1.1 * min(totals), totals
 
     def test_flat_over_a_long_run(self):
         # a long constant-moment run: the later steps take no more iterations
-        counts = replayed_iterations("load.kind = moment\nload.value = 20\nsteps = 200\n"
+        counts = recorded_iterations("load.kind = moment\nload.value = 20\nsteps = 200\n"
                                      "mass.increment = 0.6\nprestrain.eps = 0.01\n"
                                      "n_cells = 500\n")
         assert max(counts[100:]) <= max(counts[:100]), counts
+
+    @pytest.mark.parametrize("name", ["baseline", "parabolic_kappa_plus"])
+    def test_replayed_steps_match_records(self, name):
+        # the solver is deterministic: each recorded step's problem, solved
+        # again, gives the recorded bits and counters
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        options = parse_config(text).solver_options()
+        trace = run_config(text)
+        for record, problem in zip(trace.records, trace.problems):
+            sol = gb.minimize_step(problem, options)
+            np.testing.assert_array_equal(sol.h.values, record.h.values)
+            assert sol.lam == record.lam
+            assert (sol.iterations, sol.backtracks) == (record.iterations, record.backtracks)
+
+    def test_counters_add_up_to_projection_calls(self, monkeypatch):
+        # a step of an equality run projects once to start, once per
+        # iteration and once per backtrack; this run's steps backtrack 4, 1
+        # and 0 times
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return project(*args, **kwargs)
+
+        project = gb.solver._project_shift
+        monkeypatch.setattr(gb.solver, "_project_shift", counted)
+        trace = run_config("load.kind = uniform\nload.value = 0.02\nsteps = 3\n"
+                           "mass.increment = 3.0\nprestrain.eps = 0.01\nn_cells = 100\n")
+        assert any(r.backtracks for r in trace.records)
+        assert len(calls) == sum(1 + r.iterations + r.backtracks for r in trace.records)
