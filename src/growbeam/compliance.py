@@ -10,9 +10,11 @@ with (eps, kappa) the equilibrium fields for that profile.  Because the beam
 is statically determinate the integrand is a pointwise function of h, so one
 scalar density c(h) per cell suffices.  ``ComplianceDensity`` writes it as
 one quadratic form in the section's prestrain integrals; every subcommand,
-``analytic`` included, evaluates densities through it.  The closed forms
-(no prestrain, constant axial prestrain, a first precurved deposition) and
-the diagnostics' raw power sums are test oracles in ``tests/oracles.py``.
+``analytic`` included, evaluates densities through it, and the convexity
+diagnostics f and g are two of its densities at unit scale.  The closed
+forms (no prestrain, constant axial prestrain, a first precurved
+deposition) and the diagnostics' raw power sums are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -231,15 +233,9 @@ class ComplianceDensity:
 # Dimensionless diagnostics.  With hbar = h/h0 and eta = M/(E h0^2 eps_p) the
 # constant-prestrain density is E eps_p^2 h0 f(eta, hbar); with
 # mu = M/(E h0^3 kappa_p) the first-step precurvature density is
-# E h0^3 kappa_p^2 g(mu, hbar).
+# E h0^3 kappa_p^2 g(mu, hbar).  So f and g are those densities at unit
+# scale, E = h0 = eps_p = 1 (kappa_p = 1) under the moment eta (mu).
 # ---------------------------------------------------------------------------
-
-def _check_hbar(hbar):
-    hbar = np.asarray(hbar, dtype=float)
-    if np.any(hbar <= 0):
-        raise DomainError("hbar must be positive")
-    return hbar
-
 
 def _ret(x):
     x = np.asarray(x)
@@ -247,37 +243,23 @@ def _ret(x):
 
 
 def f_value(eta, hbar):
-    """Rescaled constant-prestrain compliance density (Horner form)."""
-    hb = _check_hbar(hbar)
-    eta = np.asarray(eta, dtype=float)
-    num = (((hb - 2.0) * hb + 4.0) * hb - (12.0 * eta + 6.0)) * hb \
-        + 12.0 * eta * (eta + 1.0) + 3.0
-    return _ret(num / hb**3)
+    """Rescaled constant-prestrain compliance density."""
+    return _ret(ComplianceDensity.const_prestrain(1.0, eta, 1.0, 1.0).value(hbar))
 
 
 def f_second(eta, hbar):
-    """d^2 f / d hbar^2 in factored form: 4 (6 eta - hbar + 3)(6 eta - 2 hbar + 3) / hbar^5."""
-    hb = _check_hbar(hbar)
-    eta = np.asarray(eta, dtype=float)
-    return _ret(4.0 * (6.0 * eta - hb + 3.0) * (6.0 * eta - 2.0 * hb + 3.0) / hb**5)
+    """d^2 f / d hbar^2, the curvature of that density."""
+    return _ret(ComplianceDensity.const_prestrain(1.0, eta, 1.0, 1.0).curvature(hbar))
 
 
 def g_value(mu, hbar):
-    """Rescaled first-step precurvature compliance density (Horner form)."""
-    hb = _check_hbar(hbar)
-    mu = np.asarray(mu, dtype=float)
-    u = 1.0 / hb
-    t = 3.0 * mu + 1.0
-    return _ret(hb**3 / 3.0 - (6.0 * mu + 2.0) / 3.0
-                + u * (1.0 + u * (-2.0 * t + u * (4.0 / 3.0) * t**2)))
+    """Rescaled first-step precurvature compliance density."""
+    return _ret(ComplianceDensity.const_precurv_first(1.0, mu, 1.0, 1.0).value(hbar))
 
 
 def g_second(mu, hbar):
-    """d^2 g / d hbar^2 in completed-square form; positive for hbar >= 1."""
-    hb = _check_hbar(hbar)
-    mu = np.asarray(mu, dtype=float)
-    sq = 72.0 * (mu + (8.0 - 3.0 * hb) / 24.0) ** 2
-    return _ret(2.0 / hb**5 * (sq + hb**2 * (8.0 * hb**4 - 1.0) / 8.0))
+    """d^2 g / d hbar^2, the curvature of that density; positive for hbar >= 1."""
+    return _ret(ComplianceDensity.const_precurv_first(1.0, mu, 1.0, 1.0).curvature(hbar))
 
 
 def convex_envelope_1d(x, y):

@@ -25,10 +25,10 @@ DEFAULT_OUTPUT_DIR = "growbeam_out"
 
 @dataclass(frozen=True)
 class RunConfig:
-    length: float = 20.0
+    length: float = BeamConfig.length
     height0: float = 0.3
-    young_modulus: float = 1.0e5
-    n_cells: int = 200
+    young_modulus: float = BeamConfig.young_modulus
+    n_cells: int = BeamConfig.n_cells
     load_kind: str = "uniform"
     load_value: float = 0.0
     steps: int = 10
@@ -39,9 +39,9 @@ class RunConfig:
     prestrain_kappa: tuple = (0.0,)
     tau: float = math.inf
     ablation: bool = False
-    tol_kkt: float = 1e-8
-    tol_mass: float = 1e-10
-    max_iter: int = 10_000
+    tol_kkt: float = SolverOptions.tol_kkt
+    tol_mass: float = SolverOptions.tol_mass
+    max_iter: int = SolverOptions.max_iter
     output_dir: str | None = None
     plot_steps: tuple | None = None
     hbar_min: float = 1.0

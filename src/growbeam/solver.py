@@ -69,7 +69,7 @@ class StepProblem:
         if not math.isfinite(self.mass_target):
             raise DomainError(f"mass target must be finite (got {self.mass_target})")
         # in both mass modes the budget must cover the lower bound's mass
-        lb_mass = self.config.delta * float(np.sum(self.lower_bound.values))
+        lb_mass = self.lower_bound.mass(self.config)
         if self.mass_target < lb_mass - 1e-9 * max(1.0, abs(self.mass_target)):
             raise DomainError(
                 f"mass target {self.mass_target} below the lower-bound mass {lb_mass}")

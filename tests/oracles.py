@@ -5,14 +5,16 @@ quadratic form and every equilibrium through the per-cell 2x2 solve; the
 closed forms below are derived separately (no prestrain, constant axial
 prestrain, a first precurved deposition, the displayed power sums of the
 diagnostics, and the baseline mass at a given multiplier), so the tests
-check the package against them.
+check the package against them.  The raw power sums are the references for
+``f_value``, ``f_second``, ``g_value`` and ``g_second``, which the package
+evaluates as two of its densities at unit scale.
 """
 
 import numpy as np
 
 from growbeam.beam import (BeamConfig, EquilibriumState, LoadCase, PrestrainPair,
                            _as_values, bending_moment)
-from growbeam.compliance import _check_hbar, _ret
+from growbeam.compliance import _ret
 from growbeam.errors import DomainError
 
 
@@ -65,8 +67,15 @@ def density_precurv_first(h, h0, moment, young_modulus, kappa_p):
     return float(out) if out.ndim == 0 else out
 
 
-# The diagnostics' displayed power sums: references for the stabilized
-# f_value, f_second, g_value and g_second
+# The diagnostics' displayed power sums: references for f_value, f_second,
+# g_value and g_second
+
+def _check_hbar(hbar):
+    hbar = np.asarray(hbar, dtype=float)
+    if np.any(hbar <= 0):
+        raise DomainError("hbar must be positive")
+    return hbar
+
 
 def f_value_raw(eta, hbar):
     hb = _check_hbar(hbar)

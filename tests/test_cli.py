@@ -9,7 +9,8 @@ import growbeam as gb
 from growbeam import cli
 from growbeam.cli import main
 from tests.oracles import density_baseline
-from tests.output_digest import digest, subcommand
+from tests.output_digest import compare, digest, subcommand
+from tests.output_digest import main as digest_main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -459,6 +460,26 @@ def test_output_digest_of_one_config(tmp_path):
         assert sums[f"baseline/{name}"] == sums[f"baseline/replot/{name}"]
     assert subcommand("analytic_first_step") == "analytic"
     assert subcommand("convexity_minus") == "convexity"
+
+
+def test_output_digest_compare(tmp_path, capsys):
+    ref = {"a.csv": "1", "b.csv": "2", "c.csv": "3"}
+    assert compare(ref, dict(ref)) == []
+    assert compare(ref, {"a.csv": "1", "b.csv": "9", "d.csv": "4"}) == [
+        "changed: b.csv", "added: d.csv", "missing: c.csv"]
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "convexity.cfg").write_text((CONFIGS / "convexity.cfg").read_text())
+    sums = digest([configs / "convexity.cfg"], tmp_path / "out")
+    ref_path = tmp_path / "ref.json"
+    ref_path.write_text(json.dumps(sums))
+    argv = ["--configs", str(configs), "--compare", str(ref_path)]
+    capsys.readouterr()
+    assert digest_main(argv) == 0
+    assert capsys.readouterr().out == "no difference\n"
+    ref_path.write_text(json.dumps({**sums, "convexity/f_table.csv": "0" * 64}))
+    assert digest_main(argv) == 1
+    assert capsys.readouterr().out == "changed: convexity/f_table.csv\n"
 
 
 def test_package_exports_no_modules_and_no_test_oracles():

@@ -93,6 +93,13 @@ class TestDensityPrestrain:
             direct = density_prestrain(hbar * h0, h0, m, e, ep)
             scaled = e * ep**2 * h0 * gb.f_value(eta, hbar)
             assert direct == pytest.approx(scaled, rel=1e-10, abs=1e-10 * abs(scaled) + 1e-14)
+            # c'' = E eps_p^2 f''(eta, hbar) / h0, with f'' = 4 (6 eta - hbar + 3)
+            # (6 eta - 2 hbar + 3) / hbar^5 and a floor near its zeros
+            curv = ComplianceDensity.const_prestrain(e, m, h0, ep).curvature(hbar * h0)
+            want = e * ep**2 * gb.f_second(eta, hbar) / h0
+            terms = (e * ep**2 / h0 * 4.0 * (6.0 * abs(eta) + hbar + 3.0)
+                     * (6.0 * abs(eta) + 2.0 * hbar + 3.0) / hbar**5)
+            assert abs(curv - want) <= 1e-10 * max(abs(want), 1e-3 * terms)
 
     def test_matches_equilibrium_route(self, rng):
         # one-layer closed-form equilibrium plus the energy integrand is an
@@ -157,6 +164,13 @@ class TestDensityPrecurvFirst:
             direct = density_precurv_first(hbar * h0, h0, m, e, kp)
             scaled = e * h0**3 * kp**2 * gb.g_value(mu, hbar)
             assert direct == pytest.approx(scaled, rel=1e-10, abs=1e-10 * abs(scaled) + 1e-14)
+            # c'' = E h0 kappa_p^2 g''(mu, hbar), with g'' = 2 hbar + 2 (hbar - 6 mu - 2)
+            # (hbar - 12 mu - 4) / hbar^5
+            curv = ComplianceDensity.const_precurv_first(e, m, h0, kp).curvature(hbar * h0)
+            want = e * h0 * kp**2 * gb.g_second(mu, hbar)
+            t = abs(6.0 * mu + 2.0)
+            terms = e * h0 * kp**2 * (2.0 * hbar + 2.0 * (hbar + t) * (hbar + 2.0 * t) / hbar**5)
+            assert abs(curv - want) <= 1e-10 * max(abs(want), 1e-3 * terms)
 
 
 class TestCaseReductionLattice:
@@ -290,21 +304,37 @@ class TestDensityDerivative:
 
     def test_general_matches_fd(self, rng, uniform_load):
         config = gb.BeamConfig(20.0, 1.0e5, 8)
-        for ablation in [False] * 40 + [True] * 40:
-            stack = random_stack(rng, config, 2)
+        for cut in [None] * 40 + ["top"] * 40 + ["lower"] * 40:
+            stack = random_stack(rng, config, 3 if cut == "lower" else 2)
             pre = gb.PrestrainPair(float(rng.uniform(-0.03, 0.03)),
                                    float(rng.uniform(-0.1, 0.1)))
-            if ablation:
-                # cut into the top layer, away from its edges, where the
-                # trimmed history sets the density
-                stack = gb.LayerStack(stack.heights, stack.prestrains, ablation=True)
-                lo, hi = stack.heights[-2].values, stack.top.values
-                h = lo + rng.uniform(0.25, 0.75, size=8) * (hi - lo)
-                step = np.minimum(1e-4, 0.05 * (hi - lo))
-            else:
+            if cut is None:
                 h = stack.top.values + rng.uniform(0.01, 0.4, size=8)
                 step = 1e-4 * np.maximum(h, 1.0)
+            else:
+                # cut away from a layer's edges, where the trimmed history
+                # sets the density: into the top layer, or through the middle
+                # of a random lower one (row 0 is the original material)
+                stack = gb.LayerStack(stack.heights, stack.prestrains, ablation=True)
+                if cut == "top":
+                    lo, hi = stack.heights[-2].values, stack.top.values
+                    h = lo + rng.uniform(0.25, 0.75, size=8) * (hi - lo)
+                else:
+                    tops = np.vstack([np.zeros(8)] + [f.values for f in stack.heights[:-1]])
+                    k = rng.integers(0, len(tops) - 1, size=8)
+                    lo, hi = tops[k, range(8)], tops[k + 1, range(8)]
+                    h = 0.5 * (lo + hi)
+                step = np.minimum(1e-4, 0.05 * (hi - lo))
             d = ComplianceDensity.general(config, uniform_load, stack, pre)
+            if cut is not None:
+                # replay: the cut as one more layer, then the energy integrand
+                replay = gb.LayerStack(stack.heights + (gb.HeightField(h),),
+                                       stack.prestrains + (pre,), ablation=True)
+                st_ = gb.equilibrium_general(config, uniform_load, replay)
+                u, v = st_.eps, st_.kappa
+                np.testing.assert_allclose(
+                    d.value(h), 1.0e5 * (u**2 * h + u * v * h**2 + v**2 * h**3 / 3),
+                    rtol=1e-12)
             for fn, df in ((d.value, d.derivative), (d.derivative, d.curvature)):
                 a = df(h)
                 b = fd4(fn, h, step)

@@ -203,7 +203,9 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("mode", list(gb.MassMode))
     def test_concave_ablation_kink_fails_fast(self, uniform_load, mode):
-        # removing old material costs more than the deposit slope predicts:
+        # every kink at h_prev is convex (removal slope <= -1.7e-8 < 1.3e-3 <=
+        # deposit slope), so h = h_prev is the exact minimiser, but the
+        # certificate does not yet treat a cell at the kink as stationary:
         # the line search finds no decrease above rounding and says so at once
         with pytest.raises(ConvergenceError, match="did not reach") as err:
             gb.run_growth(gb.BeamConfig(20.0, 1.0e5, 40), uniform_load, 0.3,
