@@ -36,20 +36,9 @@ def compliance_total(state: EquilibriumState, h, config: BeamConfig) -> float:
     return config.delta * float(np.sum(c))
 
 
-def _quadratic_form(young_modulus, a, r, h):
-    """E (4A^2/h - 12AR/h^2 + 12R^2/h^3): the density of a section of height
-    h whose prestrain integrals are A and R = B - M/E."""
-    return young_modulus * (4.0 * a * a / h - 12.0 * a * r / h**2 + 12.0 * r * r / h**3)
-
-
-def _masked(x, mask):
-    """The entries of x (broadcast to the mask's shape) where mask holds."""
-    return np.broadcast_to(x, mask.shape)[mask]
-
-
 def _check_height(h):
     h = np.asarray(h, dtype=float)
-    if np.min(h) <= 0:
+    if np.min(h, initial=np.inf) <= 0:
         raise DomainError("height must be positive")
     return h
 
@@ -78,8 +67,9 @@ class ComplianceDensity:
     whose coefficients are computed once.  Without ablation it is the
     density at every h > 0.  With ablation ``history`` holds the material
     segments of ``beam._deposit`` and cells cut below h_prev use the history
-    trimmed by ``beam._trim``; ``history`` is None otherwise.  Every argument
-    broadcasts against the candidate heights.
+    trimmed by ``beam._trim`` (``configs/ablation_eps_plus.cfg`` runs this
+    path); ``history`` is None otherwise.  Every argument broadcasts against
+    the candidate heights.
     """
 
     def __init__(self, young_modulus, moment, h_prev, a, r, eps_p=0.0, kappa_p=0.0,
@@ -143,9 +133,10 @@ class ComplianceDensity:
         h = np.asarray(h, dtype=float)
         a = self.alpha + h * (self.eps_p + 0.5 * self.kappa_p * h)
         r = self.beta + h * h * (0.5 * self.eps_p + self.kappa_p * h / 3.0)
-        below = self._ablated(h)
-        if below is not None:
-            a[below], r[below], *_ = self._trimmed(h, below)
+        cut = self._cut(h)
+        if cut is not None:
+            below, _, _, a_cut, r_cut, _, _ = cut
+            a[below], r[below] = a_cut, r_cut
         return a, r
 
     def value(self, h):
@@ -160,11 +151,11 @@ class ComplianceDensity:
         if self._prestrained:
             p1, p2, p3 = self._poly
             out += self._c0 + h * (p1 + h * (p2 + h * p3))
-        below = self._ablated(h)
-        if below is not None:
-            a, r, *_ = self._trimmed(h, below)
-            out[below] = _quadratic_form(_masked(self.young_modulus, below),
-                                         a, r, h[below])
+        cut = self._cut(h)
+        if cut is not None:
+            below, hb, young, a, r, _, _ = cut
+            out[below] = young * (4.0 * a * a / hb - 12.0 * a * r / hb**2
+                                  + 12.0 * r * r / hb**3)
         return out
 
     def derivative(self, h):
@@ -180,13 +171,11 @@ class ComplianceDensity:
             q0, q1 = self._surface
             e_top = q0 + q1 * h
             out += e_top * e_top
-        below = self._ablated(h)
-        if below is not None:
-            a, r, e_top, _ = self._trimmed(h, below)
-            hb = h[below]
+        cut = self._cut(h)
+        if cut is not None:
+            below, hb, young, a, r, e_top, _ = cut
             w = a * hb - 3.0 * r
-            out[below] = (-4.0 * _masked(self.young_modulus, below)
-                          * w * (w + e_top * hb * hb) / hb**4)
+            out[below] = -4.0 * young * w * (w + e_top * hb * hb) / hb**4
         return out
 
     def curvature(self, h):
@@ -199,13 +188,12 @@ class ComplianceDensity:
         if self._prestrained:
             q0, q1 = self._surface
             out += 2.0 * q1 * (q0 + q1 * h)
-        below = self._ablated(h)
-        if below is not None:
+        cut = self._cut(h)
+        if cut is not None:
             # with w = A h - 3R and e = e^p(h): w' = A - 2 e h, e' = kappa
-            a, r, e, kap = self._trimmed(h, below)
-            hb = h[below]
+            below, hb, young, a, r, e, kap = cut
             w = a * hb - 3.0 * r
-            out[below] = (-4.0 * _masked(self.young_modulus, below)
+            out[below] = (-4.0 * young
                           * ((2.0 * w + e * hb * hb) * (a - 2.0 * e * hb) * hb
                              + (2.0 * e + kap * hb) * w * hb * hb
                              - 4.0 * w * (w + e * hb * hb)) / hb**5)
@@ -213,20 +201,21 @@ class ComplianceDensity:
 
     # -- ablation: cells cut below h_prev ---------------------------------
 
-    def _ablated(self, h):
-        """Mask of the cells below h_prev when they need the history, else None."""
+    def _cut(self, h):
+        """None without a history or with no cell below h_prev; else the cut
+        cells' mask, heights, E, A, R, e^p(h) and de^p/dh, from the history
+        trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h)).  A cell at h_prev
+        keeps the new layer's polynomial."""
         if self.history is None:
             return None
         below = h < self.h_prev
-        return below if np.any(below) else None
-
-    def _trimmed(self, h, below):
-        """A, R, e^p(h) and de^p/dh of the cells in ``below``, from the history
-        trimmed at h (dA/dh = e^p(h), dR/dh = h e^p(h))."""
+        if not np.any(below):
+            return None
         hb = h[below]
+        e, m = (np.broadcast_to(x, below.shape)[below]
+                for x in (self.young_modulus, self.moment))
         a, b, eps_p, kappa_p = _trim(self.history, hb, below)
-        r = b - _masked(self.moment, below) / _masked(self.young_modulus, below)
-        return a, r, eps_p + hb * kappa_p, kappa_p
+        return below, hb, e, a, b - m / e, eps_p + hb * kappa_p, kappa_p
 
 
 # ---------------------------------------------------------------------------

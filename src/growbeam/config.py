@@ -227,8 +227,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"plot.steps must be <= steps={steps} (got {max(rc.plot_steps)})",
                           lineno, col)
     if rc.hbar_max <= rc.hbar_min:
-        lineno, col = positions.get("convexity.hbar_max", (0, 0))
-        raise ConfigError("convexity.hbar_max must exceed convexity.hbar_min",
-                          lineno or None, col or None)
+        # the default window passes, so the text sets at least one end of it
+        lineno, col = positions.get("convexity.hbar_max") or positions["convexity.hbar_min"]
+        raise ConfigError("convexity.hbar_max must exceed convexity.hbar_min", lineno, col)
     return rc
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growbeam as gb
+from growbeam.beam import prestress_section_integrals
 from growbeam.compliance import ComplianceDensity
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
@@ -50,6 +51,16 @@ def test_density_refuses_a_height_that_is_not_positive(h):
     for evaluate in (density.value, density.derivative, density.curvature):
         with pytest.raises(DomainError, match="height must be positive"):
             evaluate(np.array([0.3, h, 0.3]))
+
+
+def test_density_of_no_heights_is_empty():
+    # no height to refuse: each evaluation returns its empty array
+    empty = np.array([])
+    for diagnostic in (gb.f_value, gb.f_second, gb.g_value, gb.g_second):
+        assert diagnostic(0.1, empty).shape == (0,)
+    density = ComplianceDensity.const_prestrain(1.0e5, 20.0, 0.3, 0.01)
+    for evaluate in (density.value, density.derivative, density.curvature):
+        assert evaluate(empty).shape == (0,)
 
 
 class TestDensityBaseline:
@@ -343,14 +354,47 @@ class TestDensityDerivative:
 
     def test_general_growth_side_at_kink(self, paper_config, moment_load):
         # a pinned cell must see the cost of depositing new material, not the
-        # average of deposit and removal slopes
+        # average of deposit and removal slopes; under ablation a cell at
+        # h_prev keeps the new layer's density, and only cells below it are cut
         h0 = gb.HeightField.constant(paper_config, 0.3)
-        stack = gb.LayerStack((h0,), ())
-        d = ComplianceDensity.general(paper_config, moment_load, stack,
-                                      gb.PrestrainPair(-0.01, 0.0))
+        pre = gb.PrestrainPair(-0.01, 0.0)
         closed = ComplianceDensity.const_prestrain(1.0e5, 20.0, 0.3, -0.01)
-        assert d.derivative(h0.values)[0] == pytest.approx(
-            closed.derivative(0.3), rel=1e-10)
+        free = ComplianceDensity.general(paper_config, moment_load,
+                                         gb.LayerStack((h0,), ()), pre)
+        h = h0.values.copy()
+        h[::2] = 0.2
+        kink = h == h0.values
+        for ablation in (False, True):
+            d = ComplianceDensity.general(paper_config, moment_load,
+                                          gb.LayerStack((h0,), (), ablation=ablation), pre)
+            assert d.derivative(h0.values)[0] == pytest.approx(
+                closed.derivative(0.3), rel=1e-10)
+            for evaluate, uncut in ((d.value, free.value), (d.derivative, free.derivative),
+                                    (d.curvature, free.curvature)):
+                got, want = evaluate(h), uncut(h)
+                np.testing.assert_array_equal(got[kink], want[kink])
+                if ablation:
+                    assert np.all(got[~kink] != want[~kink])
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    def test_cut_cells_broadcast_a_per_cell_young_modulus(self, rng, uniform_load):
+        # one E per cell gives the bits of the scalar E, on cut cells (into
+        # the top layer and below it), at h_prev and above it
+        config = gb.BeamConfig(20.0, 1.0e5, 8)
+        stack = random_stack(rng, config, 2)
+        stack = gb.LayerStack(stack.heights, stack.prestrains, ablation=True)
+        m = gb.bending_moment(uniform_load, config, config.x_centers)
+        segments = stack.segments()
+        a, b = prestress_section_integrals(*segments)
+        args = (m, stack.top.values, a, b - m / 1.0e5, 0.01, 0.05, segments)
+        scalar = ComplianceDensity(1.0e5, *args)
+        per_cell = ComplianceDensity(np.full(8, 1.0e5), *args)
+        h = stack.top.values * np.array([0.2, 0.5, 0.9, 1.0, 1.0, 1.1, 1.5, 0.7])
+        assert np.any(h < stack.heights[-2].values)
+        for name in ("value", "derivative", "curvature", "section_integrals"):
+            np.testing.assert_array_equal(getattr(per_cell, name)(h),
+                                          getattr(scalar, name)(h))
 
 
 class TestDimensionlessF:

@@ -131,8 +131,15 @@ class TestParse:
         assert (err.value.line, err.value.column) == (5, len("plot.steps = ") + 1)
 
     def test_hbar_window_validated(self):
-        with pytest.raises(ConfigError):
-            parse_config(MINIMAL + "convexity.hbar_min = 5\nconvexity.hbar_max = 2\n")
+        # the error points at hbar_max's value when the text sets it, else at
+        # hbar_min's
+        for lines, key_line in (("convexity.hbar_min = 5\nconvexity.hbar_max = 2\n", 6),
+                                ("convexity.hbar_max = 0.5\n", 5),
+                                ("convexity.hbar_min = 7\n", 5)):
+            with pytest.raises(ConfigError, match="hbar_max must exceed") as err:
+                parse_config(MINIMAL + lines)
+            assert (err.value.line, err.value.column) == (key_line,
+                                                          len("convexity.hbar_min = ") + 1)
 
 
 class TestRoundTrip:
