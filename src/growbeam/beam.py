@@ -126,8 +126,8 @@ class LayerStack:
 
     With ``ablation`` disabled the heights must be cellwise nondecreasing.
     With ablation allowed, later heights may cut into earlier layers; the
-    removed material (and its prestrain) is discarded when the per-cell
-    material columns are rebuilt by :meth:`segments`.
+    removed material (and its prestrain) is discarded when :meth:`segments`
+    clips each layer's top to the heights that follow it.
     """
 
     heights: tuple
@@ -159,39 +159,36 @@ class LayerStack:
     def segments(self):
         """Per-cell material columns after replaying the deposition history.
 
-        Returns ``(y_lo, y_hi, eps_p, kappa_p)`` where the y arrays have
-        shape (S+1, N); row 0 is the original (prestrain-free) material.
-        Rows may have zero width in cells where a layer was not deposited
-        or was later ablated.
+        Returns ``(tops, eps_p, kappa_p)``.  Row k of the (S+1, N) array
+        ``tops`` is min(h_k, ..., h_S), so layer k spans (tops[k-1], tops[k]]
+        with tops[-1] = 0; row 0 is the original (prestrain-free) material.
+        A layer has zero width in cells where it was not deposited or was
+        later ablated.
         """
-        hs = [h.values for h in self.heights]
-        segments = _deposit(None, 0.0, hs[0], PrestrainPair())
-        for top, h, pre in zip(hs, hs[1:], self.prestrains):
-            segments = _deposit(segments, top, h, pre)
-        return segments
+        heights = np.array([h.values for h in self.heights])
+        tops = np.minimum.accumulate(heights[::-1], axis=0)[::-1]
+        eps_p = np.array([0.0] + [p.eps_p for p in self.prestrains])
+        kappa_p = np.array([0.0] + [p.kappa_p for p in self.prestrains])
+        return tops, eps_p, kappa_p
 
 
-def _deposit(segments, top, h, pre: PrestrainPair):
-    """Material segments (y_lo, y_hi, eps_p, kappa_p) after a layer with
-    prestrain ``pre`` takes the section from ``top`` to ``h``: each row is
-    clipped at h and the row (min(top, h), h] appended.  From None with
-    top = 0 it starts the original material."""
-    y_lo, y_hi, eps_p, kappa_p = segments or (np.empty((0, h.size)),) * 2 + (np.empty(0),) * 2
-    return (np.vstack((np.minimum(y_lo, h), np.minimum(top, h))),
-            np.vstack((np.minimum(y_hi, h), h)),
+def _deposit(history, h, pre: PrestrainPair):
+    """The history (tops, eps_p, kappa_p) of :meth:`LayerStack.segments`
+    after a layer with prestrain ``pre`` takes the section to h: every top
+    is clipped at h and h appended."""
+    tops, eps_p, kappa_p = history
+    return (np.vstack((np.minimum(tops, h), h)),
             np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
 
 
-def _trim(segments, h, cells):
-    """The integrals (A, B) of the segments of ``cells`` cut at h, and the
-    prestrain pair of the layer that owns the surface there: the topmost
-    segment (y_lo, y_hi] that holds h."""
-    y_lo, y_hi, eps_p, kappa_p = segments
-    y_lo, y_hi = y_lo[:, cells], y_hi[:, cells]
-    a, b = prestress_section_integrals(np.minimum(y_lo, h), np.minimum(y_hi, h),
-                                       eps_p, kappa_p)
-    inside = (h > y_lo) & (h <= y_hi)
-    row = inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
+def _trim(history, h, cells):
+    """The integrals (A, B) of the layers of ``cells`` cut at h, and the
+    prestrain pair of the layer that owns the surface there: the lowest one
+    whose top reaches h."""
+    tops, eps_p, kappa_p = history
+    tops = tops[:, cells]
+    a, b = prestress_section_integrals(np.minimum(tops, h), eps_p, kappa_p)
+    row = np.count_nonzero(tops < h, axis=0)
     return a, b, eps_p[row], kappa_p[row]
 
 
@@ -230,17 +227,16 @@ def bending_moment(load: LoadCase, config: BeamConfig, x):
     return float(m) if m.ndim == 0 else m
 
 
-def prestress_section_integrals(y_lo, y_hi, eps_p, kappa_p):
+def prestress_section_integrals(tops, eps_p, kappa_p):
     """Area and first-moment integrals of the prestrain over material columns.
 
     Returns (A, B) per cell with
         A = sum_k int_{L_k} (eps_k + y kap_k) dy
         B = sum_k int_{L_k} y (eps_k + y kap_k) dy
-    evaluated in closed form over the segment intervals.
+    evaluated in closed form over the layers L_k = (tops[k-1], tops[k]] of
+    :meth:`LayerStack.segments`, each lower edge read from the row below.
     """
-    w1 = y_hi - y_lo
-    w2 = y_hi**2 - y_lo**2
-    w3 = y_hi**3 - y_lo**3
+    w1, w2, w3 = (np.diff(tops**n, axis=0, prepend=0.0) for n in (1, 2, 3))
     a = eps_p[:, None] * w1 + 0.5 * kappa_p[:, None] * w2
     b = 0.5 * eps_p[:, None] * w2 + kappa_p[:, None] * w3 / 3.0
     return a.sum(axis=0), b.sum(axis=0)
@@ -264,8 +260,7 @@ def solve_section(h_top, a, b_pre, moment, young_modulus):
 def equilibrium_general(config: BeamConfig, load: LoadCase,
                         stack: LayerStack) -> EquilibriumState:
     """Equilibrium of an arbitrary deposition history via per-cell 2x2 solves."""
-    y_lo, y_hi, eps_p, kappa_p = stack.segments()
-    a, b = prestress_section_integrals(y_lo, y_hi, eps_p, kappa_p)
+    a, b = prestress_section_integrals(*stack.segments())
     m = bending_moment(load, config, config.x_centers)
     eps, kappa = solve_section(stack.top.values, a, b, m, config.young_modulus)
     return EquilibriumState(eps, kappa)
@@ -277,14 +272,14 @@ def stress_at(state: EquilibriumState, stack: LayerStack, config: BeamConfig,
 
     In the original material sigma = E e; in deposited layer k,
     sigma = E (e - eps_k - y kap_k), with e = eps(x) + y kappa(x).
-    Layer k owns the half-open band (y_lo_k, y_hi_k]; y = 0 belongs to the
-    original material.
+    Layer k owns the half-open band (tops[k-1], tops[k]] of
+    :meth:`LayerStack.segments`; y = 0 belongs to the original material.
     """
     tol = 1e-12 * config.length
     if x < -tol or x > config.length + tol:
         raise DomainError("x outside the beam")
     j = min(int(np.clip(x / config.delta, 0, config.n_cells - 1)), config.n_cells - 1)
-    y_lo, y_hi, eps_p, kappa_p = stack.segments()
+    tops, eps_p, kappa_p = stack.segments()
     h_top = stack.top.values[j]
     ytol = 1e-12 * max(1.0, h_top)
     if y < -ytol or y > h_top + ytol:
@@ -292,7 +287,7 @@ def stress_at(state: EquilibriumState, stack: LayerStack, config: BeamConfig,
     e = state.eps[j] + y * state.kappa[j]
     pre = 0.0
     for k in range(len(eps_p) - 1, 0, -1):
-        if y_hi[k, j] - y_lo[k, j] > ytol and y > y_lo[k, j] + ytol:
+        if tops[k, j] - tops[k - 1, j] > ytol and y > tops[k - 1, j] + ytol:
             pre = eps_p[k] + y * kappa_p[k]
             break
     return config.young_modulus * (e - pre)

@@ -65,11 +65,11 @@ class ComplianceDensity:
         c' = E [(eps_p + kappa_p h)^2 - 4 (alpha h - 3 beta)^2 / h^4],
 
     whose coefficients are computed once.  Without ablation it is the
-    density at every h > 0.  With ablation ``history`` holds the material
-    segments of ``beam._deposit`` and cells cut below h_prev use the history
-    trimmed by ``beam._trim`` (``configs/ablation_eps_plus.cfg`` runs this
-    path); ``history`` is None otherwise.  Every argument broadcasts against
-    the candidate heights.
+    density at every h > 0.  With ablation ``history`` holds the layers'
+    clipped tops and prestrain pairs of ``LayerStack.segments`` and cells cut
+    below h_prev use the history trimmed by ``beam._trim``
+    (``configs/ablation_eps_plus.cfg`` runs this path); ``history`` is None
+    otherwise.  Every argument broadcasts against the candidate heights.
     """
 
     def __init__(self, young_modulus, moment, h_prev, a, r, eps_p=0.0, kappa_p=0.0,
@@ -211,7 +211,7 @@ class ComplianceDensity:
         below = h < self.h_prev
         if not np.any(below):
             return None
-        hb = h[below]
+        hb = np.broadcast_to(h, below.shape)[below]
         e, m = (np.broadcast_to(x, below.shape)[below]
                 for x in (self.young_modulus, self.moment))
         a, b, eps_p, kappa_p = _trim(self.history, hb, below)

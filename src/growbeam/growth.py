@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import (BeamConfig, EquilibriumState, HeightField, LoadCase,
-                   PrestrainPair, _as_values, _deposit, bending_moment,
-                   solve_section)
+from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
+                   LoadCase, PrestrainPair, _as_values, _deposit,
+                   bending_moment, solve_section)
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
@@ -113,8 +113,8 @@ class _Section:
 
     Each step adds one layer, so the state advances in O(N) per step.  Only
     ablation, which may cut into earlier layers, also keeps the history the
-    density trims: the material segments of ``beam._deposit``, one row per
-    layer, which ``LayerStack.segments`` builds by the same deposits.
+    density trims: the clipped tops of ``LayerStack.segments``, one row per
+    layer, which ``beam._deposit`` extends by each step's layer.
     """
 
     def __init__(self, config: BeamConfig, load: LoadCase, h0: HeightField,
@@ -124,7 +124,7 @@ class _Section:
         self.top = h0
         self.a = np.zeros(config.n_cells)
         self.r = -self.moment / config.young_modulus
-        self.history = _deposit(None, 0.0, h0.values, PrestrainPair()) if ablation else None
+        self.history = LayerStack((h0,), ()).segments() if ablation else None
         self.floor = HeightField(ABLATION_FLOOR_FRACTION * h0.values) if ablation else None
 
     def problem(self, pre: PrestrainPair, mass_target: float, tau: float,
@@ -141,7 +141,7 @@ class _Section:
     def deposit(self, density: ComplianceDensity, h: HeightField, pre: PrestrainPair):
         self.a, self.r = density.section_integrals(h.values)
         if self.history is not None:
-            self.history = _deposit(self.history, self.top.values, h.values, pre)
+            self.history = _deposit(self.history, h.values, pre)
         self.top = h
 
     def equilibrium(self) -> EquilibriumState:

@@ -5,7 +5,9 @@ quadratic form and every equilibrium through the per-cell 2x2 solve; the
 closed forms below are derived separately (no prestrain, constant axial
 prestrain, a first precurved deposition, the displayed power sums of the
 diagnostics, and the baseline mass at a given multiplier), so the tests
-check the package against them.  The raw power sums are the references for
+check the package against them.  The layer history is replayed deposit by
+deposit as bands (y_lo, y_hi], the reference for the clipped tops the
+package carries.  The raw power sums are the references for
 ``f_value``, ``f_second``, ``g_value`` and ``g_second``, which the package
 evaluates as two of its densities at unit scale.
 """
@@ -138,6 +140,45 @@ def equilibrium_one_layer(config: BeamConfig, load: LoadCase, h0, h1,
     kappa = (4.0 * kp * h0**2 + kp * h0 * h1 + 6.0 * ep * h0 + kp * h1**2) / h1**3 * d \
         - 12.0 * m / (e * h1**3)
     return EquilibriumState(eps, kappa)
+
+
+# The layer history replayed one deposit at a time: references for
+# LayerStack.segments and beam._trim, which carry only each layer's top
+
+def _deposit_segments(segments, top, h, pre: PrestrainPair):
+    """Segments (y_lo, y_hi, eps_p, kappa_p) after a layer with prestrain
+    ``pre`` takes the section from ``top`` to ``h``: each row is clipped at
+    h and the row (min(top, h), h] appended.  From None with top = 0 it
+    starts the original material."""
+    y_lo, y_hi, eps_p, kappa_p = segments or (np.empty((0, h.size)),) * 2 + (np.empty(0),) * 2
+    return (np.vstack((np.minimum(y_lo, h), np.minimum(top, h))),
+            np.vstack((np.minimum(y_hi, h), h)),
+            np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
+
+
+def segments_replay(stack):
+    """Each layer's band (y_lo, y_hi] with its prestrain pair, replayed."""
+    hs = [h.values for h in stack.heights]
+    segments = _deposit_segments(None, 0.0, hs[0], PrestrainPair())
+    for top, h, pre in zip(hs, hs[1:], stack.prestrains):
+        segments = _deposit_segments(segments, top, h, pre)
+    return segments
+
+
+def segment_integrals(y_lo, y_hi, eps_p, kappa_p):
+    """(A, B) per cell over the bands (y_lo, y_hi], in closed form."""
+    w1 = y_hi - y_lo
+    w2 = y_hi**2 - y_lo**2
+    w3 = y_hi**3 - y_lo**3
+    a = eps_p[:, None] * w1 + 0.5 * kappa_p[:, None] * w2
+    b = 0.5 * eps_p[:, None] * w2 + kappa_p[:, None] * w3 / 3.0
+    return a.sum(axis=0), b.sum(axis=0)
+
+
+def owner_row(y_lo, y_hi, h):
+    """Per column, the topmost row whose band (y_lo, y_hi] holds h."""
+    inside = (h > y_lo) & (h <= y_hi)
+    return inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
 
 
 # The no-prestrain step's mass at a given multiplier

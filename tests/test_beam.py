@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growbeam as gb
+from growbeam.beam import _trim
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
-from tests.oracles import equilibrium_bare, equilibrium_one_layer
+from tests.oracles import (equilibrium_bare, equilibrium_one_layer, owner_row,
+                           segment_integrals, segments_replay)
 
 
 def section_balance_residuals(state, stack, config, load):
@@ -18,7 +20,7 @@ def section_balance_residuals(state, stack, config, load):
     trapezoid rule for the force and Simpson's rule for the moment
     integrate it exactly segment by segment.
     """
-    y_lo, y_hi, _, _ = stack.segments()
+    tops, _, _ = stack.segments()
     xc = config.x_centers
     m = gb.bending_moment(load, config, xc)
     res_f = np.zeros(config.n_cells)
@@ -26,8 +28,7 @@ def section_balance_residuals(state, stack, config, load):
     for j in range(config.n_cells):
         force = 0.0
         moment = 0.0
-        for k in range(y_lo.shape[0]):
-            lo, hi = y_lo[k, j], y_hi[k, j]
+        for lo, hi in zip(np.r_[0.0, tops[:-1, j]], tops[:, j]):
             w = hi - lo
             if w <= 1e-15:
                 continue
@@ -277,11 +278,10 @@ class TestStressAt:
         config = gb.BeamConfig(length=20.0, young_modulus=1.0e5, n_cells=8)
         stack = random_stack(rng, config, 2)
         state = gb.equilibrium_general(config, uniform_load, stack)
-        y_lo, y_hi, _, _ = stack.segments()
+        tops, _, _ = stack.segments()
         j = 3
         x = config.x_centers[j]
-        for k in range(y_lo.shape[0]):
-            lo, hi = y_lo[k, j], y_hi[k, j]
+        for lo, hi in zip(np.r_[0.0, tops[:-1, j]], tops[:, j]):
             if hi - lo < 1e-6:
                 continue
             ys = np.linspace(lo + 1e-7, hi - 1e-7, 3)
@@ -343,12 +343,64 @@ class TestLayerStack:
         pres = (gb.PrestrainPair(0.01, 0.0), gb.PrestrainPair(0.02, 0.0),
                 gb.PrestrainPair(0.03, 0.0))
         stack = gb.LayerStack(tuple(fields), pres, ablation=True)
-        y_lo, y_hi, eps, _ = stack.segments()
-        widths = (y_hi - y_lo)[:, 0]
+        tops, eps, _ = stack.segments()
+        widths = np.diff(tops, axis=0, prepend=0)[:, 0]
         # base [0,0.3]; layer1 trimmed to [0.3,0.35]; layer2 ablated away;
         # layer3 fills [0.35,0.45]
         np.testing.assert_allclose(widths, [0.3, 0.05, 0.0, 0.1], atol=1e-15)
         assert list(eps) == [0.0, 0.01, 0.02, 0.03]
+
+    @staticmethod
+    def ablation_stack(rng, n_cells, n_layers):
+        """Random ablation history whose layers cut into row 0, keep zero
+        width, or end exactly at an earlier layer's height."""
+        heights = [rng.uniform(0.2, 0.5, size=n_cells)]
+        for _ in range(n_layers):
+            prev = heights[-1]
+            earlier = np.array(heights)[rng.integers(0, len(heights), size=n_cells),
+                                        range(n_cells)]
+            moves = (np.maximum(prev + rng.uniform(-0.4, 0.3, size=n_cells), 0.01),
+                     prev, earlier)
+            heights.append(np.choose(rng.integers(0, 3, size=n_cells), moves))
+        # distinct prestrains, so each layer's pair names its row
+        pres = tuple(gb.PrestrainPair(0.01 * k, -0.02 * k) for k in range(1, n_layers + 1))
+        return gb.LayerStack(tuple(map(gb.HeightField, heights)), pres, ablation=True)
+
+    def test_segments_match_deposit_replay(self, rng):
+        # each row's top is the replay's y_hi bit for bit, and the row below
+        # it the replay's y_lo
+        for _ in range(20):
+            stack = self.ablation_stack(rng, 40, int(rng.integers(1, 8)))
+            tops, eps, kap = stack.segments()
+            y_lo, y_hi, eps_replay, kap_replay = segments_replay(stack)
+            assert np.any(y_hi[0] < stack.heights[0].values)        # cut into row 0
+            assert np.any(y_hi == y_lo) and np.any(y_hi > y_lo)
+            np.testing.assert_array_equal(tops, y_hi)
+            np.testing.assert_array_equal(np.vstack((np.zeros(40), tops[:-1])), y_lo)
+            np.testing.assert_array_equal(eps, eps_replay)
+            np.testing.assert_array_equal(kap, kap_replay)
+
+    def test_trim_matches_deposit_replay(self, rng):
+        # cut at random heights and at exact layer tops: the integrals and
+        # the owning layer of the replay's segments (y_lo, y_hi]
+        for _ in range(20):
+            stack = self.ablation_stack(rng, 40, int(rng.integers(1, 8)))
+            history = stack.segments()
+            y_lo, y_hi, eps, kap = segments_replay(stack)
+            exact = y_hi[rng.integers(0, len(y_hi), size=40), range(40)]
+            h = np.where(rng.random(40) < 0.5, exact,
+                         rng.uniform(0.001, 1.0, size=40) * y_hi[-1])
+            cells = h < y_hi[-1]
+            hc = h[cells]
+            assert np.any(hc == exact[cells])
+            a, b, eps_top, kap_top = _trim(history, hc, cells)
+            want_a, want_b = segment_integrals(np.minimum(y_lo[:, cells], hc),
+                                               np.minimum(y_hi[:, cells], hc), eps, kap)
+            np.testing.assert_array_equal(a, want_a)
+            np.testing.assert_array_equal(b, want_b)
+            row = owner_row(y_lo[:, cells], y_hi[:, cells], hc)
+            np.testing.assert_array_equal(eps_top, eps[row])
+            np.testing.assert_array_equal(kap_top, kap[row])
 
 
 @settings(max_examples=60, deadline=None)

@@ -396,6 +396,15 @@ class TestDensityDerivative:
             np.testing.assert_array_equal(getattr(per_cell, name)(h),
                                           getattr(scalar, name)(h))
 
+    def test_scalar_cut_height_broadcasts(self, uniform_load):
+        # one height below every cell's h_prev is that height in each cell
+        config = gb.BeamConfig(20.0, 1.0e5, 4)
+        stack = gb.LayerStack((gb.HeightField.constant(config, 0.3),), (), ablation=True)
+        d = ComplianceDensity.general(config, uniform_load, stack, gb.PrestrainPair(0.01, 0.0))
+        for name in ("value", "derivative", "curvature", "section_integrals"):
+            np.testing.assert_array_equal(getattr(d, name)(0.2),
+                                          getattr(d, name)(np.full(4, 0.2)))
+
 
 class TestDimensionlessF:
     def test_paper_minimum_negative_prestrain(self):

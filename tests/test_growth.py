@@ -237,7 +237,7 @@ class TestFailurePaths:
 class TestSectionState:
     def test_incremental_state_matches_replay(self, rng, uniform_load):
         # ten prestrained deposits carried as (A, R), and under ablation the
-        # clipped segments too, against the full history replay through the
+        # clipped tops too, against the full history replay through the
         # layer stack; ablating deposits also cut into earlier layers
         config = gb.BeamConfig(20.0, 1.0e5, 64)
         for ablation, cut in ((False, 0.0), (True, 0.2)):
@@ -258,7 +258,7 @@ class TestSectionState:
             if ablation:
                 heights = np.array([f.values for f in stack.heights])
                 assert np.any(np.diff(heights, axis=0) < 0)
-                for carried, replayed in zip(section.history, segments):
+                for carried, replayed in zip(section.history, segments, strict=True):
                     np.testing.assert_array_equal(carried, replayed)
             else:
                 assert section.history is None

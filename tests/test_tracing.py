@@ -50,7 +50,13 @@ def test_every_patch_site_resolves(spans, ablation):
         assert metrics["compliance.density_value_calls"] > 0
         assert metrics["compliance.density_derivative_calls"] > 0
         if ablation:
-            assert metrics["compliance.history_cells_per_eval"] > 0
+            # each evaluation counts the cells of the history's first array,
+            # one row of N per layer below the step
+            n, rows = config.n_cells, trace.steps + 1
+            cells = [s.attrs["cells"] for s in recorder.spans if s.name in
+                     ("compliance.density_value", "compliance.density_derivative")]
+            assert all(c % n == 0 and n <= c <= rows * n for c in cells)
+            assert n <= metrics["compliance.history_cells_per_eval"] <= rows * n
         else:
             assert metrics["beam.segments_calls"] == 0
             assert metrics["compliance.history_cells_per_eval"] == 0
