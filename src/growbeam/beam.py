@@ -89,7 +89,7 @@ class HeightField:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise DomainError("height field must be a nonempty 1-D array")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
+        if not (vals.min() > 0.0 and vals.max() < math.inf):   # NaN fails min > 0
             raise DomainError("heights must be finite and positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -100,7 +100,7 @@ class HeightField:
 
     def mass(self, config: BeamConfig) -> float:
         """Total cross-section area in dm^2 (unit density, unit depth)."""
-        return config.delta * float(np.sum(self.values))
+        return config.delta * float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -273,22 +273,23 @@ def stress_at(state: EquilibriumState, stack: LayerStack, config: BeamConfig,
     In the original material sigma = E e; in deposited layer k,
     sigma = E (e - eps_k - y kap_k), with e = eps(x) + y kappa(x).
     Layer k owns the half-open band (tops[k-1], tops[k]] of
-    :meth:`LayerStack.segments`; y = 0 belongs to the original material.
+    :meth:`LayerStack.segments`, here replayed in the cell's column alone
+    (O(S) per point); y = 0 belongs to the original material.
     """
     tol = 1e-12 * config.length
     if x < -tol or x > config.length + tol:
         raise DomainError("x outside the beam")
     j = min(int(np.clip(x / config.delta, 0, config.n_cells - 1)), config.n_cells - 1)
-    tops, eps_p, kappa_p = stack.segments()
-    h_top = stack.top.values[j]
+    tops = np.minimum.accumulate([h.values[j] for h in stack.heights][::-1])[::-1]
+    h_top = tops[-1]
     ytol = 1e-12 * max(1.0, h_top)
     if y < -ytol or y > h_top + ytol:
         raise DomainError("y outside the current cross-section")
     e = state.eps[j] + y * state.kappa[j]
     pre = 0.0
-    for k in range(len(eps_p) - 1, 0, -1):
-        if tops[k, j] - tops[k - 1, j] > ytol and y > tops[k - 1, j] + ytol:
-            pre = eps_p[k] + y * kappa_p[k]
+    for k in range(len(tops) - 1, 0, -1):
+        if tops[k] - tops[k - 1] > ytol and y > tops[k - 1] + ytol:
+            pre = stack.prestrains[k - 1].eps_p + y * stack.prestrains[k - 1].kappa_p
             break
     return config.young_modulus * (e - pre)
 

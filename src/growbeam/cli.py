@@ -9,6 +9,7 @@ configuration error, 3 solver non-convergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -56,7 +57,7 @@ def _cmd_run(args) -> int:
     if rc.plot_steps:
         paths += render_profile_svg(trace.config.x_centers, trace.heights_by_step(),
                                     list(rc.plot_steps), out_dir)
-    for r in trace.records:
+    for r in () if args.quiet else trace.records:   # no unused text per step
         _say(args, f"step {r.index}: mass {r.mass:.6f}  compliance {r.compliance:.6f}"
                    f"  lambda {r.lam:.6g}  kkt {r.kkt_residual:.2e}")
     _say(args, "wrote " + ", ".join(paths))
@@ -203,8 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # built once per process; parsing leaves it as is
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:

@@ -33,12 +33,12 @@ def compliance_total(state: EquilibriumState, h, config: BeamConfig) -> float:
     e = config.young_modulus
     eps, kap = state.eps, state.kappa
     c = e * (eps**2 * hv + eps * kap * hv**2 + kap**2 * hv**3 / 3.0)
-    return config.delta * float(np.sum(c))
+    return config.delta * float(c.sum())
 
 
 def _check_height(h):
     h = np.asarray(h, dtype=float)
-    if np.min(h, initial=np.inf) <= 0:
+    if h.min(initial=np.inf) <= 0:
         raise DomainError("height must be positive")
     return h
 
@@ -69,14 +69,15 @@ class ComplianceDensity:
     clipped tops and prestrain pairs of ``LayerStack.segments`` and cells cut
     below h_prev use the history trimmed by ``beam._trim``
     (``configs/ablation_eps_plus.cfg`` runs this path); ``history`` is None
-    otherwise.  Every argument broadcasts against the candidate heights.
+    otherwise.  Every argument broadcasts against the candidate heights; a
+    scalar E, eps_p or kappa_p is kept as a Python float, with the same bits.
     """
 
     def __init__(self, young_modulus, moment, h_prev, a, r, eps_p=0.0, kappa_p=0.0,
                  history=None):
-        e = np.asarray(young_modulus, dtype=float)
-        eps_p = np.asarray(eps_p, dtype=float)
-        kappa_p = np.asarray(kappa_p, dtype=float)
+        # scalars stay Python floats: 0-d arrays cost numpy dispatch per operation
+        e, eps_p, kappa_p = (float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=float)
+                             for c in (young_modulus, eps_p, kappa_p))
         h_prev = np.asarray(h_prev, dtype=float)
         self.young_modulus = e
         self.moment = np.asarray(moment, dtype=float)
@@ -92,7 +93,7 @@ class ComplianceDensity:
         # derivative: (q0 + q1 h)^2 - (u (s1 + u s2))^2
         s = 2.0 * np.sqrt(e)
         self._slope = (s * alpha, -3.0 * s * beta)
-        self._prestrained = bool(np.any(eps_p) or np.any(kappa_p))
+        self._prestrained = bool(np.count_nonzero(eps_p) or np.count_nonzero(kappa_p))
         if self._prestrained:
             self._c0 = 2.0 * e * (alpha * eps_p + beta * kappa_p)
             self._poly = (e * eps_p**2, e * eps_p * kappa_p, e * kappa_p**2 / 3.0)
@@ -209,7 +210,7 @@ class ComplianceDensity:
         if self.history is None:
             return None
         below = h < self.h_prev
-        if not np.any(below):
+        if not below.any():
             return None
         hb = np.broadcast_to(h, below.shape)[below]
         e, m = (np.broadcast_to(x, below.shape)[below]
@@ -268,7 +269,7 @@ def convex_envelope_1d(x, y):
         raise DomainError("x must be strictly increasing with no duplicates")
 
     hull_x, hull_y = [], []
-    for xi, yi in zip(x, y):
+    for xi, yi in zip(x.tolist(), y.tolist()):   # Python floats: same bits, less dispatch
         while len(hull_x) >= 2:
             cross = ((hull_x[-1] - hull_x[-2]) * (yi - hull_y[-2])
                      - (hull_y[-1] - hull_y[-2]) * (xi - hull_x[-2]))

@@ -66,8 +66,8 @@ class StepRecord(StepSolution):
         grown when it rose more than TOL_ACTIVE above ``problem.h_prev``."""
         inc = solution.h.values - problem.h_prev.values
         return cls(**vars(solution), index=index, mass=solution.h.mass(problem.config),
-                   compliance=compliance, growth_fraction=float(np.mean(inc > TOL_ACTIVE)),
-                   max_increment=float(np.max(inc)))
+                   compliance=compliance, growth_fraction=float((inc > TOL_ACTIVE).mean()),
+                   max_increment=float(inc.max()))
 
 
 @dataclass

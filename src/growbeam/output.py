@@ -155,8 +155,10 @@ def _profile_blocks(trace: GrowthTrace):
         stop = min(start + _BLOCK, total)
         parts = [(k, max(start - k * n, 0), min(stop - k * n, n))
                  for k in range(start // n, (stop - 1) // n + 1)]
-        rows = _format17(np.concatenate([heights[k][i:j] for k, i, j in parts]),
-                         ws + xs.shape[1])
+        values = np.concatenate([heights[k][i:j] for k, i, j in parts])
+        bits = values.view(np.uint64)   # a run of equal heights is formatted once
+        first = np.r_[True, bits[1:] != bits[:-1]]
+        rows = _format17(values[first], ws + xs.shape[1]).take(np.cumsum(first) - 1, axis=0)
         r = 0
         for k, i, j in parts:
             rows[r:r + j - i, :ws] = np.frombuffer(f"{k},".encode().ljust(ws, b"\0"), np.uint8)

@@ -89,7 +89,8 @@ class StepSolution:
 def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
     """Projection onto {delta * sum h = mass, h >= lb}, or onto
     {delta * sum h <= mass, h >= lb} if ``at_most``, in the metric
-    sum (h - z)^2 / w, w > 0 (Euclidean for a scalar w).
+    sum (h - z)^2 / w, w > 0.  A scalar w (Euclidean) weighs a set of cells
+    by its size times w, with no per-cell weights gathered or summed.
 
     Returns (h, t) with h_j = max(lb_j, z_j - t w_j), exact up to rounding.
     Under an at-most budget t >= 0 is zero unless the budget binds, so the
@@ -112,15 +113,18 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
     """
     z = np.asarray(z, dtype=float)
     lb = np.asarray(lb, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), z.shape)
+    unit = np.ndim(w) == 0   # one weight for every cell: a set weighs its size times w
+    w = float(w) if unit else np.asarray(w, dtype=float)
+    pick = (lambda ws, mask: ws) if unit else (lambda ws, mask: ws[mask])
+    total = (lambda ws, n: ws * n) if unit else (lambda ws, n: float(ws.sum()))
     if at_most:
         h = np.maximum(lb, z)
-        if delta * float(np.sum(h)) <= mass:
+        if delta * float(h.sum()) <= mass:
             return h, 0.0
     target = mass / delta
-    base = float(np.sum(lb))
+    base = float(lb.sum())
     if target <= base:   # StepProblem refuses a budget below the bound's mass
-        return lb.copy(), float(np.max((z - lb) / w))
+        return lb.copy(), float(((z - lb) / w).max())
 
     excess = target - base
     kept, w_kept = z - lb, w
@@ -128,22 +132,22 @@ def _project_shift(z, lb, mass, delta, w=1.0, at_most=False, t0=None):
         # One Newton step on the convex, decreasing phi(t) from t0 lands at
         # or left of the root; an empty or full set at t0 starts cold.
         guess = kept > t0 * w
-        if 0 < np.count_nonzero(guess) < kept.size:
-            t = (float(np.sum(kept[guess])) - excess) / float(np.sum(w[guess]))
+        if 0 < (n := np.count_nonzero(guess)) < kept.size:
+            t = (float(kept[guess].sum()) - excess) / total(pick(w, guess), n)
             mask = kept > t * w
             if np.array_equal(mask, guess):
                 return np.maximum(lb, z - t * w), t
             if mask.any():
-                kept, w_kept = kept[mask], w[mask]
+                kept, w_kept = kept[mask], pick(w, mask)
     while True:
-        t = (float(np.sum(kept)) - excess) / float(np.sum(w_kept))
+        t = (float(kept.sum()) - excess) / total(w_kept, kept.size)
         mask = kept > t * w_kept
         above = kept[mask]
         # An empty set means the excess is below the rounding of the sum:
         # every cell is then pinned at this t.
         if above.size in (0, kept.size):
             break
-        kept, w_kept = above, w_kept[mask]
+        kept, w_kept = above, pick(w_kept, mask)
     return np.maximum(lb, z - t * w), t
 
 
@@ -158,8 +162,10 @@ def _gradient(problem: StepProblem, h):
 def _defect(q, free, lam):
     """``kkt_residual`` from the gradient q and the mask of the free cells."""
     g = q + lam
-    return max(float(np.max(np.abs(g[free]), initial=0.0)),
-               max(0.0, -float(np.min(g[~free], initial=0.0))))
+    if free.all():   # no pinned cell, so no gather
+        return max(float(np.abs(g).max()), 0.0)
+    return max(float(np.abs(g[free]).max(initial=0.0)),
+               max(0.0, -float(g[~free].min(initial=0.0))))
 
 
 def kkt_residual(problem: StepProblem, h, lam: float) -> float:
@@ -209,9 +215,9 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
         return _project_shift(z, lb, mass, delta, w, at_most, t0)
 
     def objective(h):
-        val = float(np.sum(density.value(h)))
+        val = float(density.value(h).sum())
         if not math.isinf(tau):
-            val += 0.5 / tau * float(np.sum((h - h_prev) ** 2))
+            val += 0.5 / tau * float(((h - h_prev) ** 2).sum())
         return delta * val
 
     def current():   # the solution at the current iterate
@@ -224,13 +230,13 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
 
     # Singleton feasible set: the mass budget equals the lower-bound mass, so
     # the only feasible point is lb itself.
-    slack = mass / delta - float(np.sum(lb))
+    slack = mass / delta - float(lb.sum())
     degenerate = slack <= max(lb.size * TOL_ACTIVE,
                               options.tol_mass * max(1.0, abs(mass)) / delta)
     h, shift = (lb, 0.0) if degenerate else projection(np.maximum(h_prev, lb))
     q = _gradient(problem, h)
     obj = objective(h)
-    if not (math.isfinite(obj) and np.all(np.isfinite(q))):
+    if not (math.isfinite(obj) and np.isfinite(q).all()):
         raise DomainError("step objective or gradient not finite at the start point")
     if degenerate and at_most:   # the budget binds if a unit step from lb leaves it
         _, shift = projection(h - delta * q)
@@ -239,7 +245,8 @@ def minimize_step(problem: StepProblem, options: SolverOptions | None = None) ->
 
     for it in range(options.max_iter + 1):
         free = h > lb + TOL_ACTIVE
-        lam = 0.0 - float(np.mean(q[free]) if np.any(free) else np.min(q))  # never -0.0
+        q_free = q if free.all() else q[free]
+        lam = 0.0 - float(q_free.mean() if q_free.size else q.min())  # never -0.0
         if at_most:
             lam = max(lam, 0.0) if shift > 0.0 else 0.0
         res = _defect(q, free, lam)

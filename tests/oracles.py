@@ -181,6 +181,21 @@ def owner_row(y_lo, y_hi, h):
     return inside.shape[0] - 1 - np.argmax(inside[::-1], axis=0)
 
 
+def stress_from_segments(state: EquilibriumState, stack, config: BeamConfig, x, y):
+    """``beam.stress_at`` read from the whole history of ``stack.segments()``
+    (O(S N) per point): E (e - eps_k - y kap_k) in the topmost layer k of
+    nonzero width whose band holds y, E e in the original material."""
+    j = min(int(np.clip(x / config.delta, 0, config.n_cells - 1)), config.n_cells - 1)
+    tops, eps_p, kappa_p = stack.segments()
+    ytol = 1e-12 * max(1.0, stack.top.values[j])
+    pre = 0.0
+    for k in range(len(eps_p) - 1, 0, -1):
+        if tops[k, j] - tops[k - 1, j] > ytol and y > tops[k - 1, j] + ytol:
+            pre = eps_p[k] + y * kappa_p[k]
+            break
+    return config.young_modulus * (state.eps[j] + y * state.kappa[j] - pre)
+
+
 # The no-prestrain step's mass at a given multiplier
 
 def _candidate(m2, young_modulus, lam):

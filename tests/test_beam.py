@@ -10,7 +10,7 @@ from growbeam.beam import _trim
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
 from tests.oracles import (equilibrium_bare, equilibrium_one_layer, owner_row,
-                           segment_integrals, segments_replay)
+                           segment_integrals, segments_replay, stress_from_segments)
 
 
 def section_balance_residuals(state, stack, config, load):
@@ -288,6 +288,22 @@ class TestStressAt:
             s = [gb.stress_at(state, stack, config, x, y) for y in ys]
             lin = s[0] + (s[2] - s[0]) * (ys[1] - ys[0]) / (ys[2] - ys[0])
             assert s[1] == pytest.approx(lin, rel=1e-10, abs=1e-10)
+
+    def test_column_matches_segments_on_a_long_ablation_history(self, rng, uniform_load):
+        # 200 layers at N = 2000: the stress read from one column's running
+        # minimum is the one read from the whole segments() history, bit for
+        # bit, inside layers, on their tops and at both ends of the section
+        config = gb.BeamConfig(20.0, 1.0e5, 2000)
+        stack = TestLayerStack.ablation_stack(rng, 2000, 200)
+        state = gb.equilibrium_general(config, uniform_load, stack)
+        tops = stack.segments()[0]
+        for j in rng.integers(0, 2000, size=12):
+            x = config.x_centers[j]
+            for y in (0.0, tops[-1, j], *tops[rng.integers(0, 201, size=3), j],
+                      *rng.uniform(0.0, tops[-1, j], size=3)):
+                got = gb.stress_at(state, stack, config, x, y)
+                want = stress_from_segments(state, stack, config, x, y)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (j, y)
 
     def test_above_surface_raises(self, paper_config, moment_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)

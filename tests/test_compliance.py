@@ -396,6 +396,30 @@ class TestDensityDerivative:
             np.testing.assert_array_equal(getattr(per_cell, name)(h),
                                           getattr(scalar, name)(h))
 
+    @pytest.mark.parametrize("ablation", [False, True])
+    def test_scalar_coefficients_in_every_form(self, rng, uniform_load, ablation):
+        # E, eps_p and kappa_p as Python floats, float64 scalars, 0-d arrays
+        # and per-cell arrays give the same bits, on cut and uncut cells
+        config = gb.BeamConfig(20.0, 1.0e5, 8)
+        stack = random_stack(rng, config, 2)
+        stack = gb.LayerStack(stack.heights, stack.prestrains, ablation=ablation)
+        m = gb.bending_moment(uniform_load, config, config.x_centers)
+        segments = stack.segments()
+        a, b = prestress_section_integrals(*segments)
+        h = stack.top.values * np.array([0.2, 0.5, 0.9, 1.0, 1.0, 1.1, 1.5, 0.7])
+        assert np.any(h < stack.heights[-2].values)
+
+        def build(form):
+            return ComplianceDensity(form(1.0e5), m, stack.top.values, a, b - m / 1.0e5,
+                                     form(0.01), form(0.05), segments if ablation else None)
+
+        want = build(float)
+        for form in (np.float64, np.array, lambda v: np.full(8, v)):
+            got = build(form)
+            for name in ("value", "derivative", "curvature", "section_integrals"):
+                assert (np.asarray(getattr(got, name)(h)).tobytes()
+                        == np.asarray(getattr(want, name)(h)).tobytes()), (form, name)
+
     def test_scalar_cut_height_broadcasts(self, uniform_load):
         # one height below every cell's h_prev is that height in each cell
         config = gb.BeamConfig(20.0, 1.0e5, 4)

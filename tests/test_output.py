@@ -85,6 +85,16 @@ def _special_heights(n_cells, seed, n_steps=len(SPECIAL_VALUES)):
     return steps
 
 
+def _run_heights(n_cells, n_steps, lengths):
+    """Profiles cut from one row-order stream of runs of equal heights, the
+    run lengths cycling through ``lengths`` and the heights through 0.3, the
+    double after it and the special values."""
+    total = n_cells * n_steps
+    values = np.resize((0.3, np.nextafter(0.3, 1.0)) + SPECIAL_VALUES, total)
+    stream = np.repeat(values, np.resize(lengths, total))[:total]
+    return list(stream.reshape(n_steps, n_cells))
+
+
 @pytest.fixture(scope="module")
 def small_trace():
     config = gb.BeamConfig(20.0, 1.0e5, 2)
@@ -162,25 +172,34 @@ class TestWriteTrace:
         assert sorted(os.listdir(tmp_path)) == ["profile.csv"]
         assert target.read_bytes() == b"old bytes\n"
 
-    @pytest.mark.parametrize("n_cells, length, n_steps, block", [
-        pytest.param(1, 20.0, 5, None, id="1-20.0"),
-        pytest.param(7, 7.3, 5, None, id="7-7.3"),
-        pytest.param(601, 1 / 3, 5, None, id="601-0.3333333333333333"),
+    @pytest.mark.parametrize("n_cells, length, n_steps, block, runs", [
+        pytest.param(1, 20.0, 5, None, None, id="1-20.0"),
+        pytest.param(7, 7.3, 5, None, None, id="7-7.3"),
+        pytest.param(601, 1 / 3, 5, None, None, id="601-0.3333333333333333"),
         # N (S + 1) rows against blocks of 8: one below, at and one above a
         # multiple, one cell over several blocks, a step longer than a block
-        pytest.param(3, 7.3, 5, 8, id="rows-2x8-minus-1"),
-        pytest.param(4, 7.3, 4, 8, id="rows-2x8"),
-        pytest.param(3, 7.3, 11, 8, id="rows-4x8-plus-1"),
-        pytest.param(1, 20.0, 17, 8, id="one-cell-17-rows"),
-        pytest.param(19, 7.3, 3, 8, id="step-over-blocks"),
-        pytest.param(output._BLOCK + 3, 1 / 3, 2, None, id="step-over-a-block"),
+        pytest.param(3, 7.3, 5, 8, None, id="rows-2x8-minus-1"),
+        pytest.param(4, 7.3, 4, 8, None, id="rows-2x8"),
+        pytest.param(3, 7.3, 11, 8, None, id="rows-4x8-plus-1"),
+        pytest.param(1, 20.0, 17, 8, None, id="one-cell-17-rows"),
+        pytest.param(19, 7.3, 3, 8, None, id="step-over-blocks"),
+        pytest.param(output._BLOCK + 3, 1 / 3, 2, None, None, id="step-over-a-block"),
+        # runs of equal heights: uniform steps, two equal steps in a row,
+        # and runs across blocks of 8 and across steps, each formatted once
+        pytest.param(5, 7.3, 6, 8, (5, 10), id="uniform-steps"),
+        pytest.param(7, 7.3, 5, 8, (3, 9, 1, 11, 2, 9), id="runs-over-blocks-and-steps"),
+        pytest.param(output._BLOCK + 3, 1 / 3, 3, None, (output._BLOCK + 3,),
+                     id="uniform-steps-over-a-block"),
     ])
     def test_profile_matches_per_value_formatter(self, n_cells, length, n_steps, block,
-                                                 tmp_path, monkeypatch):
+                                                 runs, tmp_path, monkeypatch):
         if block is not None:
             monkeypatch.setattr(output, "_BLOCK", block)
         config = gb.BeamConfig(length, 1.0e5, n_cells)
-        heights = _special_heights(n_cells, seed=n_cells, n_steps=n_steps)
+        if runs is None:
+            heights = _special_heights(n_cells, seed=n_cells, n_steps=n_steps)
+        else:
+            heights = _run_heights(n_cells, n_steps, runs)
         write_trace(_trace_of(config, heights), str(tmp_path))
         expected = _profile_oracle(config.x_centers, heights)
         assert (tmp_path / "profile.csv").read_bytes() == expected.encode()

@@ -139,8 +139,9 @@ class TestProjection:
         lb = rng.uniform(0.1, 1.0, size=n)
         y = rng.normal(0.0, 1.0, size=n)
         k = {"none": 0, "half": n // 2, "all_but_one": n - 1}[pinned]
-        # unit weights (Euclidean) and the metric weights of a Newton step
-        for w in (1.0, 10.0 ** rng.uniform(-3.0, 3.0, size=n)):
+        # unit weights (Euclidean, as a scalar and per cell) and the metric
+        # weights of a Newton step
+        for w in (1.0, np.ones(n), 10.0 ** rng.uniform(-3.0, 3.0, size=n)):
             # a shift between the k-th and (k+1)-th smallest ratio y / w pins
             # k cells; an at-most budget takes no negative shift and pins y <= 0
             order = np.sort(y / w)
@@ -152,9 +153,15 @@ class TestProjection:
             out = assert_matches_oracle(lb + y, lb, mass, delta, at_most=True, w=w)
             np.testing.assert_array_equal(out > lb, y > max(t, 0.0) * w)
             if np.ndim(w):
+                starts = [t, 0.5 * (order[0] + t), order[-1] + 1.0]
                 for at_most in (False, True):
-                    assert_warm_equals_cold(lb + y, lb, mass, delta, w, at_most,
-                                            [t, 0.5 * (order[0] + t), order[-1] + 1.0])
+                    assert_warm_equals_cold(lb + y, lb, mass, delta, w, at_most, starts)
+                    if np.all(w == 1.0):
+                        # the scalar 1.0 sums counts: the same bits as ones
+                        for t0 in [None, *starts]:
+                            h1, t1 = _project_shift(lb + y, lb, mass, delta, 1.0, at_most, t0)
+                            hw, tw = _project_shift(lb + y, lb, mass, delta, w, at_most, t0)
+                            assert t1 == tw and h1.tobytes() == hw.tobytes(), t0
 
     @pytest.mark.parametrize("n", SIZES[1:])
     @pytest.mark.parametrize("t", [0.5, 0.6])
@@ -476,6 +483,14 @@ class TestKKTResidual:
         violation = float(np.max(-problem.density.derivative(h0.values)))
         assert gb.kkt_residual(problem, h0, 0.0) == violation
         assert violation == pytest.approx(0.7040266, rel=1e-7)
+
+    def test_every_cell_free(self, paper_config, uniform_load):
+        # no cell at its bound: the residual is max |c'(h) + lam| alone
+        h0 = gb.HeightField.constant(paper_config, 0.3)
+        problem = baseline_problem(paper_config, uniform_load, h0, 7.5)
+        h = np.full(paper_config.n_cells, 0.4)
+        want = float(np.max(np.abs(problem.density.derivative(h) + 0.01)))
+        assert gb.kkt_residual(problem, h, 0.01) == want > 0.0
 
     def test_perturbation_increases_residual(self, paper_config, uniform_load):
         h0 = gb.HeightField.constant(paper_config, 0.3)
