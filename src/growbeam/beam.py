@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class BeamConfig:
             raise DomainError("length must be positive and finite")
         if not 0 < self.young_modulus < math.inf:
             raise DomainError("young_modulus must be positive and finite")
-        if self.n_cells < 1:
-            raise DomainError("n_cells must be at least 1")
+        if not isinstance(self.n_cells, (int, np.integer)) or self.n_cells < 1:
+            raise DomainError("n_cells must be at least 1 and an integer")
 
     @property
     def delta(self) -> float:
@@ -124,10 +125,8 @@ class PrestrainPair:
 class LayerStack:
     """Deposition history: heights h_0..h_S plus one prestrain pair per layer.
 
-    With ``ablation`` disabled the heights must be cellwise nondecreasing.
-    With ablation allowed, later heights may cut into earlier layers; the
-    removed material (and its prestrain) is discarded when :meth:`segments`
-    clips each layer's top to the heights that follow it.
+    With ``ablation`` disabled the heights must be cellwise nondecreasing;
+    with it, later heights may cut into earlier layers (see :class:`Layers`).
     """
 
     heights: tuple
@@ -156,40 +155,43 @@ class LayerStack:
     def top(self) -> HeightField:
         return self.heights[-1]
 
-    def segments(self):
-        """Per-cell material columns after replaying the deposition history.
-
-        Returns ``(tops, eps_p, kappa_p)``.  Row k of the (S+1, N) array
-        ``tops`` is min(h_k, ..., h_S), so layer k spans (tops[k-1], tops[k]]
-        with tops[-1] = 0; row 0 is the original (prestrain-free) material.
-        A layer has zero width in cells where it was not deposited or was
-        later ablated.
-        """
+    def segments(self) -> "Layers":
+        """The history replayed in one pass over the heights."""
         heights = np.array([h.values for h in self.heights])
-        tops = np.minimum.accumulate(heights[::-1], axis=0)[::-1]
-        eps_p = np.array([0.0] + [p.eps_p for p in self.prestrains])
-        kappa_p = np.array([0.0] + [p.kappa_p for p in self.prestrains])
-        return tops, eps_p, kappa_p
+        return Layers(np.minimum.accumulate(heights[::-1], axis=0)[::-1],
+                      np.array([0.0] + [p.eps_p for p in self.prestrains]),
+                      np.array([0.0] + [p.kappa_p for p in self.prestrains]))
 
 
-def _deposit(history, h, pre: PrestrainPair):
-    """The history (tops, eps_p, kappa_p) of :meth:`LayerStack.segments`
-    after a layer with prestrain ``pre`` takes the section to h: every top
-    is clipped at h and h appended."""
-    tops, eps_p, kappa_p = history
-    return (np.vstack((np.minimum(tops, h), h)),
-            np.append(eps_p, pre.eps_p), np.append(kappa_p, pre.kappa_p))
+# A named tuple with ``tops`` first, not a dataclass: bench/spans.py reads
+# ``history[0].size``, and tests zip a carried history against segments().
+class Layers(NamedTuple):
+    """Per-cell material columns of a deposition history.
 
+    Row k of the (S+1, N) array ``tops`` is min(h_k, ..., h_S), so layer k,
+    with prestrain pair (eps_p[k], kappa_p[k]), spans (tops[k-1], tops[k]]
+    with tops[-1] = 0; row 0 is the original, prestrain-free material.  A
+    layer has zero width where it was not deposited or was later ablated.
+    """
 
-def _trim(history, h, cells):
-    """The integrals (A, B) of the layers of ``cells`` cut at h, and the
-    prestrain pair of the layer that owns the surface there: the lowest one
-    whose top reaches h."""
-    tops, eps_p, kappa_p = history
-    tops = tops[:, cells]
-    a, b = prestress_section_integrals(np.minimum(tops, h), eps_p, kappa_p)
-    row = np.count_nonzero(tops < h, axis=0)
-    return a, b, eps_p[row], kappa_p[row]
+    tops: np.ndarray
+    eps_p: np.ndarray
+    kappa_p: np.ndarray
+
+    def deposit(self, h, pre: PrestrainPair) -> "Layers":
+        """The history after a layer with prestrain ``pre`` takes the section
+        to h: every top is clipped at h and h appended."""
+        return Layers(np.vstack((np.minimum(self.tops, h), h)),
+                      np.append(self.eps_p, pre.eps_p), np.append(self.kappa_p, pre.kappa_p))
+
+    def trim(self, h, cells):
+        """The integrals (A, B) of the layers of ``cells`` cut at h, and the
+        prestrain pair of the layer that owns the surface there: the lowest one
+        whose top reaches h."""
+        tops = self.tops[:, cells]
+        a, b = prestress_section_integrals(np.minimum(tops, h), self.eps_p, self.kappa_p)
+        row = np.count_nonzero(tops < h, axis=0)
+        return a, b, self.eps_p[row], self.kappa_p[row]
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,7 @@ def prestress_section_integrals(tops, eps_p, kappa_p):
     Returns (A, B) per cell with
         A = sum_k int_{L_k} (eps_k + y kap_k) dy
         B = sum_k int_{L_k} y (eps_k + y kap_k) dy
-    evaluated in closed form over the layers L_k = (tops[k-1], tops[k]] of
-    :meth:`LayerStack.segments`, each lower edge read from the row below.
+    evaluated in closed form over the layers L_k of a :class:`Layers` history.
     """
     w1, w2, w3 = (np.diff(tops**n, axis=0, prepend=0.0) for n in (1, 2, 3))
     a = eps_p[:, None] * w1 + 0.5 * kappa_p[:, None] * w2
@@ -272,18 +273,17 @@ def stress_at(state: EquilibriumState, stack: LayerStack, config: BeamConfig,
 
     In the original material sigma = E e; in deposited layer k,
     sigma = E (e - eps_k - y kap_k), with e = eps(x) + y kappa(x).
-    Layer k owns the half-open band (tops[k-1], tops[k]] of
-    :meth:`LayerStack.segments`, here replayed in the cell's column alone
-    (O(S) per point); y = 0 belongs to the original material.
+    Layer k owns its band of :class:`Layers`, here replayed in the cell's
+    column alone (O(S) per point); y = 0 belongs to the original material.
     """
     tol = 1e-12 * config.length
-    if x < -tol or x > config.length + tol:
+    if not -tol <= x <= config.length + tol:   # NaN fails too
         raise DomainError("x outside the beam")
     j = min(int(np.clip(x / config.delta, 0, config.n_cells - 1)), config.n_cells - 1)
     tops = np.minimum.accumulate([h.values[j] for h in stack.heights][::-1])[::-1]
     h_top = tops[-1]
     ytol = 1e-12 * max(1.0, h_top)
-    if y < -ytol or y > h_top + ytol:
+    if not -ytol <= y <= h_top + ytol:
         raise DomainError("y outside the current cross-section")
     e = state.eps[j] + y * state.kappa[j]
     pre = 0.0

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beam import (BeamConfig, EquilibriumState, LayerStack, LoadCase,
-                   PrestrainPair, _as_values, _trim, bending_moment,
-                   prestress_section_integrals)
+                   PrestrainPair, _as_values, bending_moment, prestress_section_integrals)
 from .errors import DomainError
 
 
@@ -65,9 +64,8 @@ class ComplianceDensity:
         c' = E [(eps_p + kappa_p h)^2 - 4 (alpha h - 3 beta)^2 / h^4],
 
     whose coefficients are computed once.  Without ablation it is the
-    density at every h > 0.  With ablation ``history`` holds the layers'
-    clipped tops and prestrain pairs of ``LayerStack.segments`` and cells cut
-    below h_prev use the history trimmed by ``beam._trim``
+    density at every h > 0.  With ablation ``history`` is the section's
+    ``beam.Layers`` and cells cut below h_prev use it trimmed at h
     (``configs/ablation_eps_plus.cfg`` runs this path); ``history`` is None
     otherwise.  Every argument broadcasts against the candidate heights; a
     scalar E, eps_p or kappa_p is kept as a Python float, with the same bits.
@@ -120,14 +118,13 @@ class ComplianceDensity:
     @classmethod
     def general(cls, config: BeamConfig, load: LoadCase, stack: LayerStack,
                 step_prestrain: PrestrainPair):
-        """Next deposition on an arbitrary history, its state replayed from
-        the stack's segments."""
+        """Next deposition on an arbitrary history, replayed from the stack."""
         m = bending_moment(load, config, config.x_centers)
-        segments = stack.segments()
-        a, b = prestress_section_integrals(*segments)
+        history = stack.segments()
+        a, b = prestress_section_integrals(history.tops, history.eps_p, history.kappa_p)
         return cls(config.young_modulus, m, stack.top.values, a,
                    b - m / config.young_modulus, step_prestrain.eps_p,
-                   step_prestrain.kappa_p, segments if stack.ablation else None)
+                   step_prestrain.kappa_p, history if stack.ablation else None)
 
     def section_integrals(self, h):
         """The state (A, R) of the section built up (or cut down) to h."""
@@ -215,7 +212,7 @@ class ComplianceDensity:
         hb = np.broadcast_to(h, below.shape)[below]
         e, m = (np.broadcast_to(x, below.shape)[below]
                 for x in (self.young_modulus, self.moment))
-        a, b, eps_p, kappa_p = _trim(self.history, hb, below)
+        a, b, eps_p, kappa_p = self.history.trim(hb, below)
         return below, hb, e, a, b - m / e, eps_p + hb * kappa_p, kappa_p
 
 

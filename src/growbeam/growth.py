@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beam import (BeamConfig, EquilibriumState, HeightField, LayerStack,
-                   LoadCase, PrestrainPair, _as_values, _deposit,
-                   bending_moment, solve_section)
+                   LoadCase, PrestrainPair, _as_values, bending_moment, solve_section)
 from .beam import equilibrium_general  # noqa: F401  (traced here by bench/spans.py)
 from .compliance import ComplianceDensity, compliance_total
 from .errors import ConvergenceError, DomainError
@@ -27,18 +26,22 @@ class MassSchedule:
     increment: float | None = None
     values: tuple | None = None
 
+    def __post_init__(self):
+        if (self.increment is None) == (self.values is None):
+            raise DomainError("a mass schedule takes exactly one of increment and values")
+        vals = self.values or ()
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise DomainError("mass targets must be nondecreasing")
+        if self.values is None and not self.increment >= 0:   # NaN fails too
+            raise DomainError("mass increment must be nonnegative")
+
     @classmethod
     def affine(cls, increment: float) -> "MassSchedule":
-        if increment < 0:
-            raise DomainError("mass increment must be nonnegative")
         return cls(increment=increment)
 
     @classmethod
     def explicit(cls, values) -> "MassSchedule":
-        vals = tuple(float(v) for v in values)
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise DomainError("mass targets must be nondecreasing")
-        return cls(values=vals)
+        return cls(values=tuple(float(v) for v in values))
 
     def targets(self, m0: float, steps: int) -> np.ndarray:
         if self.values is None:
@@ -113,8 +116,7 @@ class _Section:
 
     Each step adds one layer, so the state advances in O(N) per step.  Only
     ablation, which may cut into earlier layers, also keeps the history the
-    density trims: the clipped tops of ``LayerStack.segments``, one row per
-    layer, which ``beam._deposit`` extends by each step's layer.
+    density trims, as ``beam.Layers``.
     """
 
     def __init__(self, config: BeamConfig, load: LoadCase, h0: HeightField,
@@ -141,7 +143,7 @@ class _Section:
     def deposit(self, density: ComplianceDensity, h: HeightField, pre: PrestrainPair):
         self.a, self.r = density.section_integrals(h.values)
         if self.history is not None:
-            self.history = _deposit(self.history, h.values, pre)
+            self.history = self.history.deposit(h.values, pre)
         self.top = h
 
     def equilibrium(self) -> EquilibriumState:

@@ -143,7 +143,7 @@ def equilibrium_one_layer(config: BeamConfig, load: LoadCase, h0, h1,
 
 
 # The layer history replayed one deposit at a time: references for
-# LayerStack.segments and beam._trim, which carry only each layer's top
+# beam.Layers, which carries only each layer's top
 
 def _deposit_segments(segments, top, h, pre: PrestrainPair):
     """Segments (y_lo, y_hi, eps_p, kappa_p) after a layer with prestrain

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growbeam as gb
-from growbeam.beam import _trim
+from growbeam.beam import Layers
 from growbeam.errors import DomainError
 from tests.conftest import random_stack
 from tests.oracles import (equilibrium_bare, equilibrium_one_layer, owner_row,
@@ -67,6 +67,12 @@ class TestRefusals:
         with pytest.raises(DomainError, match="n_cells must be at least 1"):
             gb.BeamConfig(n_cells=0)
 
+    def test_non_integer_cells(self):
+        # 2.5 cells would put the last center on the free end
+        with pytest.raises(DomainError, match="n_cells must be at least 1 and an integer"):
+            gb.BeamConfig(20.0, 1.0e5, 2.5)
+        assert gb.BeamConfig(20.0, 1.0e5, np.int64(5)).x_centers.size == 5
+
     def test_height_array_of_the_wrong_shape(self, paper_config, uniform_load):
         with pytest.raises(DomainError,
                            match=r"height array has shape \(3,\), expected \(200,\)"):
@@ -104,7 +110,7 @@ class TestRefusals:
                            match="eps and kappa must be 1-D arrays of equal length"):
             gb.EquilibriumState(eps, kappa)
 
-    @pytest.mark.parametrize("x", [-0.1, 20.1])
+    @pytest.mark.parametrize("x", [-0.1, 20.1, math.nan])
     def test_stress_outside_the_beam(self, paper_config, moment_load, x):
         h0 = gb.HeightField.constant(paper_config, 0.3)
         state = equilibrium_bare(paper_config, moment_load, h0)
@@ -309,8 +315,9 @@ class TestStressAt:
         h0 = gb.HeightField.constant(paper_config, 0.3)
         stack = gb.LayerStack((h0,), ())
         st_ = equilibrium_bare(paper_config, moment_load, h0)
-        with pytest.raises(DomainError):
-            gb.stress_at(st_, stack, paper_config, 1.0, 0.31)
+        for y in (0.31, math.nan):
+            with pytest.raises(DomainError):
+                gb.stress_at(st_, stack, paper_config, 1.0, y)
 
 
 class TestDeflection:
@@ -384,10 +391,18 @@ class TestLayerStack:
 
     def test_segments_match_deposit_replay(self, rng):
         # each row's top is the replay's y_hi bit for bit, and the row below
-        # it the replay's y_lo
+        # it the replay's y_lo; Layers.deposit chained from the initial height
+        # builds the same history
         for _ in range(20):
             stack = self.ablation_stack(rng, 40, int(rng.integers(1, 8)))
-            tops, eps, kap = stack.segments()
+            history = stack.segments()
+            chained = gb.LayerStack(stack.heights[:1], (), ablation=True).segments()
+            for h, pre in zip(stack.heights[1:], stack.prestrains):
+                chained = chained.deposit(h.values, pre)
+            assert isinstance(chained, Layers)
+            for carried, replayed in zip(chained, history, strict=True):
+                np.testing.assert_array_equal(carried, replayed)
+            tops, eps, kap = history
             y_lo, y_hi, eps_replay, kap_replay = segments_replay(stack)
             assert np.any(y_hi[0] < stack.heights[0].values)        # cut into row 0
             assert np.any(y_hi == y_lo) and np.any(y_hi > y_lo)
@@ -409,7 +424,7 @@ class TestLayerStack:
             cells = h < y_hi[-1]
             hc = h[cells]
             assert np.any(hc == exact[cells])
-            a, b, eps_top, kap_top = _trim(history, hc, cells)
+            a, b, eps_top, kap_top = history.trim(hc, cells)
             want_a, want_b = segment_integrals(np.minimum(y_lo[:, cells], hc),
                                                np.minimum(y_hi[:, cells], hc), eps, kap)
             np.testing.assert_array_equal(a, want_a)

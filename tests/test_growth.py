@@ -28,6 +28,15 @@ class TestMassSchedule:
         with pytest.raises(DomainError):
             gb.MassSchedule.affine(-0.1)
 
+    @pytest.mark.parametrize("kwargs", [{}, {"increment": 1.0, "values": (7.0, 8.0)},
+                                        {"increment": -0.1}, {"values": (7.0, 6.5)}],
+                             ids=["neither", "both", "negative", "decreasing"])
+    def test_constructor_checks(self, kwargs):
+        # the constructor refuses what affine and explicit refuse: a negative
+        # increment would remove mass under ablation
+        with pytest.raises(DomainError):
+            gb.MassSchedule(**kwargs)
+
 
 @pytest.fixture(scope="module")
 def trace():
