@@ -220,7 +220,7 @@ def bending_moment(load: LoadCase, config: BeamConfig, x):
     """
     x = np.asarray(x, dtype=float)
     tol = 1e-12 * config.length
-    if np.any(x < -tol) or np.any(x > config.length + tol):
+    if not np.all((x >= -tol) & (x <= config.length + tol)):     # NaN fails too
         raise DomainError("x must lie in [0, length]")
     if load.kind is LoadKind.UNIFORM:
         m = 0.5 * load.value * (config.length - x) ** 2

@@ -12,6 +12,12 @@ template (``_Frame.write``) with ``&``, ``<`` and ``>`` escaped in caller
 text; polylines take one ``%`` call each and are drawn at pixel resolution:
 a run of more than four consecutive points in one pixel column keeps four
 of them (``_pixel_columns``); profile.csv holds the full data.
+
+``read_profile`` reads profile.csv back ``_CHUNK`` bytes at a time, the
+inverse of ``_format17``: rows and commas are found with numpy, and each
+decimal field is read as the integer of its digits (8 at a time in an
+int64 word, ``_digits``) and rounded once to the nearest double
+(``_nearest``).  Any other line goes through ``int`` and ``float``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -29,8 +34,20 @@ from .growth import GrowthTrace
 PROFILE_CSV = "profile.csv"
 SUMMARY_JSON = "summary.json"
 _PROFILE_HEADER = "step,x_center,height"
-_PROFILE_ROW = np.dtype([("step", np.int64), ("x", float), ("height", float)])
-_BLOCK = 4096       # profile.csv rows per numpy pass
+_BLOCK = 4096       # profile.csv rows per numpy pass when written
+_CHUNK = 1 << 17    # profile.csv bytes per numpy pass when read
+_PAD = b"0" * 24    # before a chunk, so that 3 words end at every field's end
+# SWAR on little-endian int64 words, a text's first byte lowest
+_C = 0x0101010101010101                     # 1 in each byte
+_HIGH = 0x80 * _C - 2 ** 64                 # 0x80 in each byte, as an int64
+_BYTES = np.array([[24], [16], [8]])        # from word j's first byte to the end
+# times a 1 at byte b of word j, its top byte is 23 - 8 j - b: the digits after it
+_AFTER = np.array([[16], [8], [0]]) * _C + 0x0706050403020100
+# digit pairs, then groups of 4, then of 8, each as one integer
+_SWAR = ((2561, 8, 0x00FF00FF00FF00FF), (6553601, 16, 0x0000FFFF0000FFFF),
+         (42949672960001, 32, 0xFFFFFFFF))
+_P10 = np.array([10 ** q for q in range(19)])
+_UP10 = np.r_[0, _P10[1:] - _P10[:-1]]      # 10^q - 10^(q - 1)
 # ASCII of 0000..9999 as uint32, then again with trailing zeros as NUL
 _DIGITS = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1],
                                                                  np.uint16) % 10 + 48
@@ -45,6 +62,12 @@ def _split(a):
     """Veltkamp's split a = hi + lo into halves of at most 26 bits."""
     hi = a * 134217729.0 - (a * 134217729.0 - a)
     return hi, a - hi
+
+
+def _product(a, b):
+    """a * b = hi + lo exactly (Dekker's product)."""
+    (a_hi, a_lo), (b_hi, b_lo), hi = _split(a), _split(b), a * b
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
@@ -64,8 +87,7 @@ def _format17(values, margin: int = 0, end: int = 10) -> np.ndarray:
     x = (((a.view(np.int64) >> 52) - 1023) * 78913) >> 18  # e2 * log10(2) floored
     x += a >= _DECADES[x + 6]
     p = _POW10[16 - x]
-    (a_hi, a_lo), (p_hi, p_lo), hi = _split(a), _split(p), a * p
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    hi, lo = _product(a, p)
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     lo_x, hi_x = int(x.min(initial=0)), int(x.max(initial=0))   # slow rows: X = 0
     base = 1 + max(0, -lo_x)            # the column of the units digit
@@ -196,60 +218,261 @@ def write_trace(trace: GrowthTrace, directory: str):
     return [profile_path, summary_path]
 
 
-def _malformed_profile(path: str, exc: ValueError) -> DomainError:
-    """The error for a profile body that np.loadtxt refused, naming the first
-    non-blank line that is not ``int,float,float``."""
-    with open(path, "r", newline="") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if lineno == 1 or not line.strip():
-                continue
+def _window(buf, end, size, n):
+    """The ``n`` little-endian int64 words that end before byte ``end`` of
+    ``buf``, all but their last ``size`` bytes cleared, as an (n, len(end))
+    array; and the bits cleared in each."""
+    clear = np.minimum(np.maximum(_BYTES[-n:] - size, 0), 8) * 8
+    rows = np.ndarray((len(buf) - 8 * n + 1,), f"V{8 * n}", buf, strides=(1,))
+    w = np.ascontiguousarray(rows[end - 8 * n].view("<i8").reshape(-1, n).T)
+    w >>= clear
+    w <<= clear
+    return w, clear
+
+
+def _digits(w, clear):
+    """Each word's 8 ASCII digits as an integer, by three multiply-shift
+    steps (SWAR, Lemire 2021), and the mask of texts whose uncleared bytes
+    are all digits."""
+    w -= 0x30 * _C >> clear << clear
+    ok = ~(((w + 0x76 * _C) | w) & _HIGH).any(0)
+    for mul, shift, mask in _SWAR:
+        w *= mul
+        w >>= shift
+        w &= mask
+    return w, ok
+
+
+def _nearest(d, f):
+    """The double nearest d / 10^f (0 <= d < 10^17, f <= 20), ties to even.
+
+    v = fl(fl(d) / 10^f) is within 1.5 ulp of it; the exact residual
+    d - v 10^f (Clinger 1990) then keeps v or takes a neighbour."""
+    p = _POW10[f]
+    v = d.astype(float) / p
+    hi, lo = _product(v, p)
+    low = d - (d >> 4 << 4)                     # d - low and low are exact doubles
+    r = ((d - low).astype(float) - hi) + low    # r - lo = d - v p, exactly
+    bits = v.view(np.int64)
+    half = ((np.maximum(bits >> 52, 53) - 53) << 52).view(float) * p  # ulp(v) p / 2
+    below = half * np.where(bits << 12 == 0, 0.5, 1.0)                 # v a power of 2
+    odd = bits & 1 == 1
+    up = (r - half > lo) | (r - half == lo) & odd
+    down = (r + below < lo) | (r + below == lo) & odd
+    return (bits + up - down).view(float)
+
+
+def _values(buf, end, size):
+    """(values, ok) of the texts of ``size`` bytes ending before byte
+    ``end``: an optional '-', then digits with at most one '.'.  ``ok``
+    marks the texts read here: at most 24 bytes after the sign, 17
+    significant digits, 20 after the point.  Elsewhere the value is 0."""
+    size = np.maximum(size, 0)
+    neg = np.frombuffer(buf, np.uint8)[end - size] == 45
+    size = size - neg
+    w, clear = _window(buf, end, size, 3)
+    x = w ^ 0x2E * _C                                           # '.' -> 0
+    dot = ~((x & 0x7F * _C) + 0x7F * _C | x) >> 7 & _C          # 1 where '.' was
+    w += 2 * dot                                                # '.' -> '0'
+    dots = dot.sum(0) * _C >> 56
+    f = (dot * _AFTER).sum(0) >> 56                             # digits after '.'
+    w, ok = _digits(w, clear)
+    d = (w[0] * 10 ** 8 + w[1]) * 10 ** 8 + w[2]
+    q = np.minimum((f + 1) * dots, 18)                          # drop the '0' at '.'
+    d -= d // _P10[q] * _UP10[q]
+    ok &= (size <= 24) & (size > dots) & (dots <= 1) & (w[0] < 100) & (d < 10 ** 17) \
+        & (f <= 20)
+    v = _nearest(d * ok, f * ok)
+    return np.where(neg, -v, v), ok
+
+
+def _row(line: bytes):
+    """(step, x, height) of one line by ``int`` and ``float`` (ASCII, no
+    '_'), or None: the lane for a line the word parse does not take."""
+    fields = line.split(b",")
+    try:
+        if len(fields) == 3 and line.isascii() and b"_" not in line \
+                and -2 ** 63 <= (step := int(fields[0])) < 2 ** 63:
+            return step, float(fields[1]), float(fields[2])
+    except ValueError:
+        pass
+    return None
+
+
+def _last_step(handle, body: int, size: int) -> int:
+    """The step of the file's last line that is not blank, or -1."""
+    for begin in (max(body, size - 4096), body):
+        handle.seek(begin)
+        lines = handle.read().replace(b"\r", b"\n").split(b"\n")[begin > body:]
+        line = next((line for line in reversed(lines) if line), None)
+        if line is not None or begin == body:
+            return (_row(line or b"") or (-1,))[0]
+
+
+class _Profile:
+    """profile.csv's rows, fed as whole lines a chunk at a time.
+
+    Step 0's rows give N, x_centers and step 0's x texts (3 words and a
+    length per cell); a later row's x is parsed only where its text differs
+    from its cell's.  Heights go into one (S + 1, N) array, S being the
+    last line's step.  A malformed line is refused at once, the layout
+    faults at the end, in ``read_profile``'s order."""
+
+    def __init__(self, path, last, limit):
+        self.path, self.last, self.limit = path, last, limit
+        self.lines, self.rows = 1, 0    # lines before the chunk (with the header), rows
+        self.sizes = []                 # rows of steps 0, 1, ... while in order
+        self.misplaced = self.mismatched = self.x = self.heights = None
+        self.first = []                 # step 0 so far: (windows, lengths, x, heights)
+
+    def feed(self, buf, tail=0):
+        """Take ``_PAD`` and then whole lines, each ending in a newline, the
+        last ``tail`` bytes not from the file."""
+        if b"\r" in buf:                        # a CR, alone or before LF, ends a line
+            buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        a = np.frombuffer(buf, np.uint8)
+        delim = np.flatnonzero(a <= 44)         # ',' and newline, or a byte for _row
+        kind = a[delim]
+        ends = np.flatnonzero(kind == 10)
+        i1, i2 = np.maximum(ends - 2, 0), np.maximum(ends - 1, 0)
+        nl, c1, c2 = delim[ends], delim[i1], delim[i2]
+        start = np.concatenate(([len(_PAD) - 1], nl[:-1])) + 1
+        w, ok = _digits(*_window(buf, c1, c1 - start, 1))
+        steps, size = w[0], c2 - c1 - 1
+        heights, h_ok = _values(buf, nl, nl - c2 - 1)
+        lane = ~(ok & h_ok & (c1 > start) & (c1 - start <= 8)
+                 & (kind[i1] + kind[i2] == 88)                 # ',' ',' newline
+                 & (ends - np.concatenate(([-1], ends[:-1])) == 3))
+        xs, fail = {}, len(nl)
+
+        def row(i):                 # line i by _row; a malformed line is refused
+            if (r := _row(buf[start[i]:nl[i]])) is None:
+                line = buf[start[i]:min(nl[i] + 1, len(buf) - tail)]
+                raise DomainError(f"{self.path}:{self.lines + i + 1}: malformed row "
+                                  f"{line.decode(errors='replace')!r}")
+            return r
+
+        def parse_x(i):             # x of the rows i; row() takes what _values does not
+            x, ok = _values(buf, c2[i], size[i])
+            for k in np.flatnonzero(~ok | lane[i]).tolist():
+                x[k] = xs[i[k]] if i[k] in xs else row(i[k])[1]
+            return x, ok & ~lane[i]
+
+        for i in np.flatnonzero(lane).tolist():
             try:
-                s, x, h = line.strip().split(",")
-                int(s), float(x), float(h)
-            except ValueError:
-                return DomainError(f"{path}:{lineno}: malformed row {line!r}")
-    return DomainError(f"{path}: malformed profile ({exc})")
+                if start[i] < nl[i]:            # not a blank line
+                    steps[i], xs[i], heights[i] = row(i)
+            except DomainError:
+                fail = i
+                break
+        rows, r0 = np.flatnonzero(start[:fail] < nl[:fail]), self.rows
+        self._runs(steps[rows])
+        n = self.sizes[0] if len(self.sizes) > 1 else None
+        head = len(rows) if n is None or self.misplaced else max(n - r0, 0)
+        first, later = rows[:head], rows[head:]
+        if head:
+            x, ok = parse_x(first)
+            if not self.misplaced:
+                self.first.append((_window(buf, c2[first], size[first], 3)[0],
+                                   np.where(ok & (size[first] <= 24), size[first], -1),
+                                   x, heights[first]))
+        if n and self.heights is None and not self.misplaced:
+            self._allocate(n)
+        if later.size:                          # each x against its cell's
+            cells = r0 + np.arange(head, len(rows))
+            windows, lengths, x0 = self.x
+            other = lane[later] | (size[later] != lengths.take(cells, mode="wrap")) | (
+                _window(buf, c2[later], size[later], 3)[0]
+                != windows.take(cells, axis=1, mode="wrap")).any(0)
+            if other.any():
+                cells = cells[other][parse_x(later[other])[0].view(np.int64)
+                                     != x0.take(cells[other], mode="wrap").view(np.int64)]
+                if cells.size and self.mismatched is None:
+                    self.mismatched = int(cells[0]) // n
+            flat = self.heights.reshape(-1)
+            flat[r0 + head:r0 + len(rows)] = heights[later[:max(flat.size - r0 - head, 0)]]
+        if fail < len(nl):
+            row(fail)
+        self.lines += len(nl)
+        self.rows += len(rows)
+
+    def _runs(self, steps):
+        """Extend the runs of steps 0, 1, ...; note the first misplaced one."""
+        if self.misplaced or not steps.size:
+            return
+        cut = np.concatenate(([0], np.flatnonzero(steps[1:] != steps[:-1]) + 1, [steps.size]))
+        for step, size in zip(steps[cut[:-1]].tolist(), np.diff(cut).tolist()):
+            if step == len(self.sizes) - 1:
+                self.sizes[-1] += size
+            elif step == len(self.sizes):
+                self.sizes.append(size)
+            else:
+                self.misplaced = (step, len(self.sizes))
+                return
+
+    def _allocate(self, n):
+        """Step 0 is whole: keep its x texts and values, allocate the heights."""
+        *self.x, heights = (np.concatenate(p, axis=-1) for p in zip(*self.first))
+        steps = self.last + 1 if 0 < (self.last + 1) * n <= self.limit else 0
+        self.heights, self.first = np.empty((steps, n)), None
+        self.heights[:1] = heights
+
+    def result(self):
+        path = self.path
+        if not self.rows:
+            raise DomainError(f"{path}: no profile rows")
+        if self.misplaced:
+            raise DomainError(f"{path}: step {self.misplaced[0]} where step "
+                              f"{self.misplaced[1]} should begin; steps must run 0, 1, 2, "
+                              "... in file order")
+        if self.heights is None:
+            self._allocate(self.rows)
+        sizes = np.array(self.sizes)
+        ragged = np.flatnonzero(sizes != sizes[0])
+        if ragged.size:
+            k = ragged[0]
+            raise DomainError(f"{path}: step {k} has {sizes[k]} rows, step 0 has {sizes[0]}")
+        if self.mismatched is not None:
+            raise DomainError(f"{path}: step {self.mismatched} has other x-centres than step 0")
+        return self.x[2], dict(enumerate(self.heights))
 
 
 def read_profile(directory: str):
     """Read profile.csv back as ``write_trace`` writes it: steps 0, 1, ..., S in
     file order, each with step 0's x in the same order.  Returns (x_centers,
-    {step: heights}), the heights being the rows of one (S + 1, N) array."""
+    {step: heights}), the heights being the rows of one (S + 1, N) array.
+
+    The file is read ``_CHUNK`` bytes at a time.  A field of digits with at
+    most one '.' and 17 significant digits (all that ``write_trace`` writes
+    but exponent form) is read as the integer D of its digits, f of them
+    after the point, and rounded once to the double nearest D / 10^f, by
+    integer and float arithmetic on whole arrays.  Any other line goes
+    through ``int`` and ``float`` (no '_'), which read those fields to the
+    same values.  Blank lines are skipped; a line of other than three such
+    fields is refused, naming its line."""
     path = os.path.join(directory, PROFILE_CSV)
-    with open(path, "r", newline="") as handle:
-        header = handle.readline().strip()
-    if header != _PROFILE_HEADER:
-        raise DomainError(f"unexpected profile header: {header!r}")
-    try:
-        with warnings.catch_warnings():
-            # an empty body is reported below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy reads a path in large chunks in C; an open file object
-            # would be read line by line through Python, twice as slowly
-            rows = np.loadtxt(path, dtype=_PROFILE_ROW, delimiter=",", ndmin=1,
-                              comments=None, skiprows=1)
-    except ValueError as exc:
-        raise _malformed_profile(path, exc) from None
-    if rows.size == 0:
-        raise DomainError(f"{path}: no profile rows")
-    step = rows["step"]
-    firsts = np.r_[0, np.flatnonzero(step[1:] != step[:-1]) + 1]
-    misplaced = np.flatnonzero(step[firsts] != np.arange(firsts.size))
-    if misplaced.size:
-        k = misplaced[0]
-        raise DomainError(f"{path}: step {step[firsts[k]]} where step {k} should begin; "
-                          "steps must run 0, 1, 2, ... in file order")
-    sizes = np.diff(np.r_[firsts, step.size])
-    ragged = np.flatnonzero(sizes != sizes[0])
-    if ragged.size:
-        k = ragged[0]
-        raise DomainError(f"{path}: step {k} has {sizes[k]} rows, step 0 has {sizes[0]}")
-    x_bits = rows["x"].view(np.uint64).reshape(firsts.size, sizes[0])
-    mismatched = np.flatnonzero((x_bits != x_bits[0]).any(axis=1))
-    if mismatched.size:
-        raise DomainError(f"{path}: step {mismatched[0]} has other x-centres than step 0")
-    heights = np.ascontiguousarray(rows["height"].reshape(x_bits.shape))
-    return rows["x"][:sizes[0]].copy(), dict(enumerate(heights))
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        cr = line.find(b"\r")
+        if 0 <= cr < len(line) - 2:             # a lone CR ends the header
+            handle.seek(cr + 1)
+        header = line[:cr if cr >= 0 else None].decode(errors="replace").strip()
+        if header != _PROFILE_HEADER:
+            raise DomainError(f"unexpected profile header: {header!r}")
+        body, size = handle.tell(), handle.seek(0, 2)
+        profile = _Profile(path, _last_step(handle, body, size), (size - body) // 5 + 1)
+        handle.seek(body)
+        rest = b""
+        while chunk := handle.read(_CHUNK):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                profile.feed(b"".join((_PAD, rest, memoryview(chunk)[:cut])))
+                rest = chunk[cut:]
+            else:
+                rest += chunk
+        if rest:
+            profile.feed(_PAD + rest + b"\n", tail=1)
+    return profile.result()
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,8 @@ class TestBendingMoment:
             gb.bending_moment(uniform_load, paper_config, -0.5)
         with pytest.raises(DomainError):
             gb.bending_moment(uniform_load, paper_config, 20.5)
+        with pytest.raises(DomainError):
+            gb.bending_moment(uniform_load, paper_config, math.nan)
 
 
 class TestEquilibriumBare:

@@ -470,9 +470,11 @@ class TestReadProfile:
             read_profile(str(tmp_path))
 
     @pytest.mark.parametrize("bad", ["1.5,0.5,0.3", "1,0.5", "1,0.5#,0.3",
-                                     "1,0.5,0.3,0.3", "1,0.5,"],
+                                     "1,0.5,0.3,0.3", "1,0.5,", "1,0.5,0_4", "1.0,0.5,0.3",
+                                     "1,0.5,1.2.3", "1,0.5 0.3"],
                              ids=["non-integer step", "two fields", "hash in field",
-                                  "four fields", "empty field"])
+                                  "four fields", "empty field", "underscore in field",
+                                  "point in step", "two points", "space in field"])
     def test_bad_row_names_its_line(self, tmp_path, bad):
         self._write(tmp_path, ["0,0.5,0.3", "0,1.5,0.3", bad, "1,1.5,0.3"])
         with pytest.raises(DomainError, match=r"profile\.csv:4: malformed row"):
@@ -497,7 +499,8 @@ class TestReadProfile:
         ([1, 1, 2, 2], "step 1 where step 0"),
         ([0, 0, 2, 2], "step 2 where step 1"),
         ([0, 0, 1, 1, 0, 0], "step 0 where step 2"),
-    ], ids=["first-step-not-0", "skipped-step", "step-repeated"])
+        ([0, 0, 100000000, 100000000], "step 100000000 where step 1"),
+    ], ids=["first-step-not-0", "skipped-step", "step-repeated", "nine-digit-step"])
     def test_misplaced_step_is_named(self, tmp_path, steps, first_bad):
         self._write(tmp_path, [f"{s},{0.5 + k % 2},0.3" for k, s in enumerate(steps)])
         with pytest.raises(DomainError, match=first_bad):
@@ -512,3 +515,93 @@ class TestReadProfile:
         assert block.shape == (11, run_trace.config.n_cells) and block.flags.c_contiguous
         assert all(steps[k].base is block for k in steps)
         assert x_centers.flags.c_contiguous and x_centers.base is None
+
+    @pytest.mark.parametrize("body, heights", [
+        ("\r\n0,0.5,0.3\r\n0,1.5,0.4\r\n1,0.5,0.5\r\n1,1.5,0.6\r\n", [0.3, 0.4, 0.5, 0.6]),
+        ("\r0,0.5,0.3\r0,1.5,0.4\r1,0.5,0.5\r1,1.5,0.6\r", [0.3, 0.4, 0.5, 0.6]),
+        ("\n0,0.5,0.3\n0,1.5,0.4\n1,0.5,0.5\n1,1.5,0.6", [0.3, 0.4, 0.5, 0.6]),
+        ("\n\n0,0.5,0.3\n\n0,1.5,0.4\n\r\n\n1,0.5,0.5\n1,1.5,0.6\n\n", [0.3, 0.4, 0.5, 0.6]),
+        ("\n0,5e-1,5e-1\n0,1.5,4E-1\n1,0.5,0.5\n1,15e-1,6.0E-1\n", [0.5, 0.4, 0.5, 0.6]),
+        ("\n0,0.5,inf\n0,1.5,nan\n1,0.5,-inf\n1,1.5,NaN\n",
+         [math.inf, math.nan, -math.inf, math.nan]),
+        ("\n 0 ,\t0.5 , 0.3\t\n0,1.5,0.4\n1\t,0.5,0.5 \n1, 1.5,0.6\n", [0.3, 0.4, 0.5, 0.6]),
+        ("\n+0,+0.5,+0.3\n0,1.5,0.4\n+1,0.5,0.5\n1,+1.5,0.6\n", [0.3, 0.4, 0.5, 0.6]),
+        ("\n0,0.5,0.3\n0,1.5,0.4\n1,0.50,0.5\n1,1.50,0.6\n", [0.3, 0.4, 0.5, 0.6]),
+        ("\n0,0.5,0.299999999999999988897769753748434\n0,1.5,0.4\n1,0.5,0.5\n1,1.5,0.6\n",
+         [0.3, 0.4, 0.5, 0.6]),
+    ], ids=["crlf", "lone-cr", "no-final-newline", "blank-lines", "exponent", "inf-nan",
+            "spaces-tabs", "plus-sign", "same-x-other-text", "35-character-height"])
+    def test_accepted_forms_read_as_float_does(self, tmp_path, body, heights):
+        # ``body`` begins with the header's line end
+        (tmp_path / "profile.csv").write_bytes(("step,x_center,height" + body).encode())
+        x_centers, steps = read_profile(str(tmp_path))
+        assert x_centers.tobytes() == np.array([0.5, 1.5]).tobytes()
+        assert list(steps) == [0, 1]
+        assert np.concatenate([steps[0], steps[1]]).tobytes() == np.array(heights).tobytes()
+
+    def test_digit_parse_matches_float(self, tmp_path):
+        texts = [
+            # exact ties on both sides of 2^53 and 2^54, rounded up or down
+            "9007199254740993.0", "9007199254740993", "9007199254740995", "18014398509481986",
+            "18014398509481990", "4503599627370497.5", "8401590928376899.5",
+            "5115946153795039.5",
+            # below a power of 2, where the next double down is half an ulp away
+            "9007199254740991.2", "1.9999999999999998", "0.12499999999999999",
+            # 18 significant digits, and 25 bytes: not for the digit parse
+            "888424425149554756", "225220984851381146", "5000000000000000000000.25",
+            "0.3", "5", "5.", "-.5"]
+        self._write(tmp_path, [f"0,{k + 0.5},{t}" for k, t in enumerate(texts)])
+        _, steps = read_profile(str(tmp_path))
+        assert steps[0].tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(1, 2 ** 63 - 2 ** 52 - 1),     # every positive finite double
+        # the same patterns with the exponent in and around the fixed-point range
+        st.integers(int(np.float64(1e-5).view(np.int64)),
+                    int(np.float64(1e18).view(np.int64))),
+    ), min_size=1, max_size=64))
+    def test_raw_bit_patterns_round_trip(self, tmp_path_factory, bits):
+        heights = np.array(bits, np.int64).view(np.float64)
+        config = gb.BeamConfig(7.3, 1.0e5, len(heights))
+        directory = str(tmp_path_factory.mktemp("profile"))
+        write_trace(_trace_of(config, [heights, heights[::-1]]), directory)
+        x_centers, steps = read_profile(directory)
+        assert x_centers.tobytes() == config.x_centers.tobytes()
+        assert steps[0].tobytes() == heights.tobytes()
+        assert steps[1].tobytes() == heights[::-1].tobytes()
+
+    def test_long_x_texts_compare_whole(self, tmp_path):
+        # equal in their last 24 bytes and in length, unequal in value
+        self._write(tmp_path, ["0,1000000000000000000000000.5,0.3", "0,1.5,0.3",
+                               "1,2000000000000000000000000.5,0.3", "1,1.5,0.3"])
+        with pytest.raises(DomainError, match="step 1 has other x-centres than step 0"):
+            read_profile(str(tmp_path))
+
+    def test_unterminated_last_line_is_named_as_written(self, tmp_path):
+        (tmp_path / "profile.csv").write_text("step,x_center,height\n0,0.5,0.3\n0,1.5,0.3x")
+        with pytest.raises(DomainError, match=r"profile\.csv:3: malformed row '0,1\.5,0\.3x'$"):
+            read_profile(str(tmp_path))
+
+    @pytest.mark.parametrize("chunk", [64, 1000])
+    def test_any_chunk_size(self, run_trace, tmp_path, monkeypatch, chunk):
+        # step 0 over many chunks, step boundaries inside chunks, and the
+        # line numbers and steps of refusals counted across chunks
+        monkeypatch.setattr(output, "_CHUNK", chunk)
+        write_trace(run_trace, str(tmp_path))
+        x_centers, steps = read_profile(str(tmp_path))
+        assert x_centers.tobytes() == run_trace.config.x_centers.tobytes()
+        for k, values in enumerate(run_trace.heights_by_step()):
+            assert steps[k].tobytes() == values.tobytes()
+        csv = tmp_path / "profile.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        moved = lines[:]
+        moved[1 + 7 * 50 + 3], moved[1 + 7 * 50 + 4] = lines[1 + 7 * 50 + 4], lines[1 + 7 * 50 + 3]
+        csv.write_text("".join(moved))
+        with pytest.raises(DomainError, match="step 7 has other x-centres than step 0"):
+            read_profile(str(tmp_path))
+        lines[400] = lines[400].replace(",", ",x", 1)
+        lines[200:200] = ["\n", "\r\n", "\n"]
+        csv.write_text("".join(lines))
+        with pytest.raises(DomainError, match=r"profile\.csv:404: malformed row"):
+            read_profile(str(tmp_path))
